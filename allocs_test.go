@@ -3,7 +3,8 @@
 // The hot-team cache (internal/kmp) makes the fork→for→barrier→join cycle
 // allocation-free once a team of the right shape exists: Fork revives the
 // cached team with one atomic Swap, workers are released through per-worker
-// epoch doors, worksharing state lives in a pre-allocated ring whose loop
+// epoch doors, static loops and reductions keep no per-construct state,
+// the remaining worksharing state lives in a pre-allocated ring whose loop
 // schedulers reset in place, and the join is the region-end barrier. These
 // tests pin that property with testing.AllocsPerRun so a regression (a new
 // per-fork closure, a map rebuild, a fresh scheduler) fails loudly.
@@ -58,8 +59,7 @@ func TestSteadyStateStaticForAllocFree(t *testing.T) {
 	s.NumThreads = []int{2}
 	rt := gomp.NewRuntime(s)
 	body := func(lo, hi int) {}
-	// Warm region: populate every worksharing ring slot's cached scheduler
-	// and let workers allocate their sleep timers.
+	// Warm region: let workers allocate their sleep timers.
 	rt.Parallel(func(th *gomp.Thread) {
 		for i := 0; i < 16; i++ {
 			th.ForChunks(256, body)
@@ -107,6 +107,44 @@ func TestSteadyStateBarrierAllocFree(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("steady-state Barrier: %v allocs/op, want 0", avg)
+	}
+}
+
+// TestSteadyStateReduceAllocFree pins the team-owned reduction slot banks:
+// ReduceFor and Reduce write partials into pre-allocated per-member slots
+// and fold them after the barrier, so a steady-state reduction allocates
+// nothing (it used to build an accumulator per construct).
+func TestSteadyStateReduceAllocFree(t *testing.T) {
+	s := icv.Default()
+	s.NumThreads = []int{2}
+	rt := gomp.NewRuntime(s)
+	body := func(i int, acc float64) float64 { return acc + float64(i) }
+	for _, c := range []struct {
+		name string
+		op   func(th *gomp.Thread)
+	}{
+		{"ReduceFor", func(th *gomp.Thread) { gomp.ReduceFor(th, 256, gomp.OpSum, body) }},
+		{"Reduce", func(th *gomp.Thread) { gomp.Reduce(th, gomp.OpSum, 1.0) }},
+	} {
+		rt.Parallel(func(th *gomp.Thread) {
+			for i := 0; i < 16; i++ {
+				c.op(th)
+			}
+		})
+		time.Sleep(3 * time.Millisecond)
+		var avg float64
+		rt.Parallel(func(th *gomp.Thread) {
+			if th.Num() == 0 {
+				avg = testing.AllocsPerRun(allocRuns, func() { c.op(th) })
+			} else {
+				for i := 0; i < allocRuns+1; i++ {
+					c.op(th)
+				}
+			}
+		})
+		if avg != 0 {
+			t.Errorf("steady-state %s (team of 2): %v allocs/op, want 0", c.name, avg)
+		}
 	}
 }
 

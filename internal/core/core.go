@@ -88,11 +88,14 @@ func (r *Runtime) SetNumThreads(n int) {
 // without a num_threads clause (omp_get_max_threads).
 func (r *Runtime) MaxThreads() int { return r.pool.NumThreadsVarAt(0) }
 
-// SetSchedule sets run-sched-var (omp_set_schedule).
-func (r *Runtime) SetSchedule(s icv.Schedule) { r.pool.ICVs().RunSched = s }
+// SetSchedule sets run-sched-var (omp_set_schedule). Like SetNumThreads it
+// publishes through the pool's fork-ICV snapshot: regions forked afterwards
+// resolve schedule(runtime) against the new value, while a running region
+// keeps the value it was forked with, so its members cannot disagree.
+func (r *Runtime) SetSchedule(s icv.Schedule) { r.pool.SetRunSchedVar(s) }
 
 // Schedule returns run-sched-var (omp_get_schedule).
-func (r *Runtime) Schedule() icv.Schedule { return r.pool.ICVs().RunSched }
+func (r *Runtime) Schedule() icv.Schedule { return r.pool.RunSchedVar() }
 
 // SetDynamic sets dyn-var (omp_set_dynamic), which also selects the thread
 // arbiter's immediate-shrink admission rung over bounded waiting.

@@ -51,13 +51,12 @@ func (t *Thread) ForDoacross(loops []sched.Loop, body func(ix []int64, d *Doacro
 	trips, ix, base := t.nestFrame(len(loops))
 	trip := sched.NestTrips(loops, trips)
 
-	seq, e := t.construct()
 	// Saved/restored like ForOrdered's ctx and the nestFrame stack, so a
 	// doacross loop nested inside another loop's body on the same Thread
 	// cannot clobber the outer iteration's live ctx (k/posted) state.
 	d := &t.doaScratch
 	savedCtx := *d
-	if e == nil {
+	if t.team == nil {
 		// Sequential context: program order satisfies every sink (sinks
 		// name lexicographically earlier iterations), so Wait and Post
 		// degenerate to no-ops.
@@ -71,10 +70,13 @@ func (t *Thread) ForDoacross(loops []sched.Loop, body func(ix []int64, d *Doacro
 		t.nestBase = base
 		return
 	}
-	resolved := sched.Resolve(cfg.sched, t.rt.pool.ICVs())
-	if resolved.Kind == icv.StealSched {
+	if sched.Resolve(cfg.sched, t.team.RunSched()).Kind == icv.StealSched {
 		panic("gomp: ForDoacross requires a monotonic schedule; schedule(nonmonotonic:dynamic) may run an iteration before a same-thread predecessor it depends on")
 	}
+	// The flag vector is shared state, so a doacross loop takes a ring
+	// entry whatever its schedule.
+	ls := t.beginLoop(cfg.sched, trip, true)
+	e := ls.e
 	if t.team.N() == 1 {
 		// A team of one executes a monotonic schedule in ascending logical
 		// order, so program order satisfies every sink — skip the flag
@@ -85,33 +87,16 @@ func (t *Thread) ForDoacross(loops []sched.Loop, body func(ix []int64, d *Doacro
 		e.DoacrossInit(loops, trips, trip)
 		d.arm(t, e, len(loops))
 	}
-	s := e.LoopSched(resolved, trip, t.team.N())
-	for {
-		if t.team.Cancelled() {
-			break
+	t.runChunks(&ls, func(k int64) {
+		sched.DelinearizeNest(loops, trips, k, ix)
+		d.k, d.posted = k, false
+		body(ix, d)
+		if !d.posted {
+			// Conservative auto-post: the body ran no depend(source).
+			d.Post()
 		}
-		chunk, ok := s.Next(t.tid)
-		if !ok {
-			break
-		}
-		if trace.Enabled() {
-			trace.Emit(trace.EvLoopChunk, t.GlobalID(), chunk.Len())
-		}
-		for k := chunk.Begin; k < chunk.End; k++ {
-			if k > chunk.Begin && t.team.Cancelled() {
-				break
-			}
-			sched.DelinearizeNest(loops, trips, k, ix)
-			d.k, d.posted = k, false
-			body(ix, d)
-			if !d.posted {
-				// Conservative auto-post: the body ran no depend(source).
-				d.Post()
-			}
-		}
-	}
-	t.Barrier()
-	t.team.Retire(seq, e)
+	}, true)
+	t.endLoop(&ls, false)
 	*d = savedCtx
 	t.nestBase = base
 }

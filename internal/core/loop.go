@@ -73,19 +73,16 @@ func (t *Thread) ForLoop(loop sched.Loop, body func(i int64), opts ...ForOption)
 	cfg := buildForConfig(opts)
 	trip := loop.TripCount()
 
-	seq, e := t.construct()
-	if e == nil {
+	if t.team == nil {
 		// Sequential context: run the whole loop in order.
 		for k := int64(0); k < trip; k++ {
 			body(loop.Iteration(k))
 		}
 		return
 	}
-	t.runChunks(e, trip, cfg, func(k int64) { body(loop.Iteration(k)) }, nil)
-	if !cfg.nowait {
-		t.Barrier()
-	}
-	t.team.Retire(seq, e)
+	ls := t.beginLoop(cfg.sched, trip, false)
+	t.runChunks(&ls, func(k int64) { body(loop.Iteration(k)) }, false)
+	t.endLoop(&ls, cfg.nowait)
 }
 
 // ForNest is the collapse(n) worksharing loop: the perfectly nested
@@ -100,8 +97,7 @@ func (t *Thread) ForNest(loops []sched.Loop, body func(ix []int64), opts ...ForO
 	trips, ix, base := t.nestFrame(len(loops))
 	trip := sched.NestTrips(loops, trips)
 
-	seq, e := t.construct()
-	if e == nil {
+	if t.team == nil {
 		for k := int64(0); k < trip; k++ {
 			sched.DelinearizeNest(loops, trips, k, ix)
 			body(ix)
@@ -109,14 +105,12 @@ func (t *Thread) ForNest(loops []sched.Loop, body func(ix []int64), opts ...ForO
 		t.nestBase = base
 		return
 	}
-	t.runChunks(e, trip, cfg, func(k int64) {
+	ls := t.beginLoop(cfg.sched, trip, false)
+	t.runChunks(&ls, func(k int64) {
 		sched.DelinearizeNest(loops, trips, k, ix)
 		body(ix)
-	}, nil)
-	if !cfg.nowait {
-		t.Barrier()
-	}
-	t.team.Retire(seq, e)
+	}, false)
+	t.endLoop(&ls, cfg.nowait)
 	t.nestBase = base
 }
 
@@ -156,33 +150,21 @@ func (t *Thread) ForChunks(n int, body func(lo, hi int), opts ...ForOption) {
 	}
 	trip := int64(n)
 
-	seq, e := t.construct()
-	if e == nil {
+	if t.team == nil {
 		if trip > 0 {
 			body(0, n)
 		}
 		return
 	}
-	nthreads := t.team.N()
-	resolved := sched.Resolve(cfg.sched, t.rt.pool.ICVs())
-	s := e.LoopSched(resolved, trip, nthreads)
+	ls := t.beginLoop(cfg.sched, trip, false)
 	for {
-		if t.team.Cancelled() {
-			break
-		}
-		chunk, ok := s.Next(t.tid)
+		chunk, ok := t.nextChunk(&ls)
 		if !ok {
 			break
 		}
-		if trace.Enabled() {
-			trace.Emit(trace.EvLoopChunk, t.GlobalID(), chunk.Len())
-		}
 		body(int(chunk.Begin), int(chunk.End))
 	}
-	if !cfg.nowait {
-		t.Barrier()
-	}
-	t.team.Retire(seq, e)
+	t.endLoop(&ls, cfg.nowait)
 }
 
 // OrderedCtx is the per-iteration handle for ordered regions inside a
@@ -229,14 +211,13 @@ func (t *Thread) ForOrdered(n int, body func(i int, ord *OrderedCtx), opts ...Fo
 	cfg.ordered = true
 	trip := int64(n)
 
-	seq, e := t.construct()
 	// The recycled ctx is saved and restored across the loop so an ordered
 	// loop nested inside another's body on the same Thread (the serialized
 	// inner-region case nestFrame also guards against) cannot clobber the
 	// outer iteration's live ctx state.
 	ord := &t.ordScratch
 	saved := *ord
-	if e == nil {
+	if t.team == nil {
 		for k := int64(0); k < trip; k++ {
 			ord.arm(nil, nil, k)
 			body(int(k), ord)
@@ -244,7 +225,11 @@ func (t *Thread) ForOrdered(n int, body func(i int, ord *OrderedCtx), opts ...Fo
 		*ord = saved
 		return
 	}
-	t.runChunks(e, trip, cfg, nil, func(k int64) {
+	// The ordered turn counter is shared state, so an ordered loop takes a
+	// ring entry whatever its schedule.
+	ls := t.beginLoop(cfg.sched, trip, true)
+	e := ls.e
+	t.runChunks(&ls, func(k int64) {
 		ord.arm(e, t.team, k)
 		body(int(k), ord)
 		if ord.consumed {
@@ -256,43 +241,91 @@ func (t *Thread) ForOrdered(n int, body func(i int, ord *OrderedCtx), opts ...Fo
 		if e.WaitOrderedTurn(k, t.team) {
 			e.FinishOrdered(k)
 		}
-	})
-	if !cfg.nowait {
-		t.Barrier()
-	}
-	t.team.Retire(seq, e)
+	}, true)
+	t.endLoop(&ls, cfg.nowait)
 	*ord = saved
 }
 
-// runChunks drives the shared scheduler for this thread, invoking body (or
-// orderedBody when non-nil) per iteration. Cancellation is polled between
-// chunks — every chunk boundary is a cancellation point — and, for ordered
-// bodies, between iterations too: an ordered iteration can park on its turn,
-// so a cancelling sibling must be noticed before entering the next wait.
-func (t *Thread) runChunks(e *kmp.WSEntry, trip int64, cfg forConfig, body, orderedBody func(int64)) {
-	n := t.team.N()
-	resolved := sched.Resolve(cfg.sched, t.rt.pool.ICVs())
-	s := e.LoopSched(resolved, trip, n)
-	run := body
-	if orderedBody != nil {
-		run = orderedBody
+// loopShare is one thread's handle on a worksharing loop: the resolved
+// schedule, where its chunks come from, and the ring entry of a loop that
+// needs shared construct state. A static loop computes its chunks with
+// sched.StaticChunk from the trip count, team size and thread number alone
+// (libomp's __kmpc_for_static_init), so unless it is ordered or doacross
+// it claims no ring entry at all; the other kinds draw chunks from the
+// entry's shared dispenser.
+type loopShare struct {
+	resolved icv.Schedule
+	trip     int64
+	c        int64           // next static chunk index
+	s        sched.Scheduler // shared dispenser; nil for static schedules
+	seq      int64
+	e        *kmp.WSEntry // nil unless the loop needs shared state
+}
+
+// beginLoop opens a worksharing loop of trip iterations on the thread's
+// team, resolving schedule(runtime) against the value the team was forked
+// with so that every member takes the same path. entry requests a ring
+// entry even for a static schedule (ordered turns, doacross flags).
+func (t *Thread) beginLoop(s icv.Schedule, trip int64, entry bool) loopShare {
+	ls := loopShare{resolved: sched.Resolve(s, t.team.RunSched()), trip: trip}
+	static := sched.Static(ls.resolved)
+	if entry || !static {
+		ls.seq, ls.e = t.construct()
 	}
+	if !static {
+		ls.s = ls.e.LoopSched(ls.resolved, trip, t.team.N())
+	}
+	return ls
+}
+
+// nextChunk returns the thread's next chunk of the loop, or ok=false when
+// it has none left or the region has been cancelled: every chunk boundary
+// is a cancellation point. Each chunk handed out is one EvLoopChunk event.
+func (t *Thread) nextChunk(ls *loopShare) (sched.Chunk, bool) {
+	if t.team.Cancelled() {
+		return sched.Chunk{}, false
+	}
+	var chunk sched.Chunk
+	var ok bool
+	if ls.s != nil {
+		chunk, ok = ls.s.Next(t.tid)
+	} else {
+		chunk, ok = sched.StaticChunk(ls.resolved, ls.trip, t.team.N(), t.tid, ls.c)
+		ls.c++
+	}
+	if ok && trace.Enabled() {
+		trace.Emit(trace.EvLoopChunk, t.GlobalID(), chunk.Len())
+	}
+	return chunk, ok
+}
+
+// endLoop takes the loop's implicit barrier unless nowait, and retires its
+// ring entry, if it claimed one.
+func (t *Thread) endLoop(ls *loopShare, nowait bool) {
+	if !nowait {
+		t.Barrier()
+	}
+	if ls.e != nil {
+		t.team.Retire(ls.seq, ls.e)
+	}
+}
+
+// runChunks runs this thread's chunks of the loop, invoking body per
+// iteration. Cancellation is polled before each chunk and, with pollEach,
+// between iterations too: an ordered or doacross iteration can park on its
+// turn or sink, so a cancelling sibling must be noticed before entering
+// the next wait.
+func (t *Thread) runChunks(ls *loopShare, body func(int64), pollEach bool) {
 	for {
-		if t.team.Cancelled() {
-			return
-		}
-		chunk, ok := s.Next(t.tid)
+		chunk, ok := t.nextChunk(ls)
 		if !ok {
 			return
 		}
-		if trace.Enabled() {
-			trace.Emit(trace.EvLoopChunk, t.GlobalID(), chunk.Len())
-		}
 		for k := chunk.Begin; k < chunk.End; k++ {
-			if orderedBody != nil && k > chunk.Begin && t.team.Cancelled() {
+			if pollEach && k > chunk.Begin && t.team.Cancelled() {
 				return
 			}
-			run(k)
+			body(k)
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"unsafe"
+
+	"repro/internal/kmp"
 	"repro/internal/reduction"
 	"repro/internal/sched"
 )
@@ -27,50 +30,56 @@ func ReduceForLoop[T reduction.Number](t *Thread, loop sched.Loop, op reduction.
 	cfg := buildForConfig(opts)
 	trip := loop.TripCount()
 
-	seq, e := t.construct()
-	if e == nil {
+	if t.team == nil {
 		acc := reduction.Identity[T](op)
 		for k := int64(0); k < trip; k++ {
 			acc = body(loop.Iteration(k), acc)
 		}
 		return acc
 	}
-	acc := e.InitReduction(func() any {
-		return reduction.NewAccumulator[T](op, t.team.N())
-	}).(*reduction.Accumulator[T])
-
 	local := reduction.Identity[T](op)
-	t.runChunks(e, trip, cfg, func(k int64) {
+	ls := t.beginLoop(cfg.sched, trip, false)
+	t.runChunks(&ls, func(k int64) {
 		local = body(loop.Iteration(k), local)
-	}, nil)
-	acc.Set(t.tid, local)
-
-	// The barrier is mandatory: all partials must be in place before any
-	// thread combines them. Each thread combines independently — the
-	// fold order is fixed, so every thread computes the same value.
-	t.Barrier()
-	result := acc.Reduce()
-	t.team.Retire(seq, e)
-	return result
+	}, false)
+	// The reduction's barrier is the loop's implicit barrier.
+	t.endLoop(&ls, true)
+	return teamReduce(t, op, local)
 }
 
 // Reduce performs a team-wide reduction of one value per thread, outside a
 // loop: each thread contributes v, all receive the combined result. This is
 // the reduction clause on a bare parallel construct.
 func Reduce[T reduction.Number](t *Thread, op reduction.Op, v T) T {
-	seq, e := t.construct()
-	if e == nil {
+	if t.team == nil {
 		return v
 	}
-	acc := e.InitReduction(func() any {
-		return reduction.NewAccumulator[T](op, t.team.N())
-	}).(*reduction.Accumulator[T])
-	acc.Set(t.tid, v)
-	t.Barrier()
-	result := acc.Reduce()
-	t.team.Retire(seq, e)
-	return result
+	return teamReduce(t, op, v)
 }
+
+// teamReduce combines every member's partial v and returns the result to
+// all of them. Each member writes v to its slot of one of the team's two
+// reduction banks, alternating banks from one reduction to the next (see
+// kmp.Team.ReductionBank), and after the barrier — mandatory, since all
+// partials must be in place before any member combines them — folds the
+// bank's slots 0..n-1 left to right, the order reduction.Accumulator.Reduce
+// uses. The fold order is fixed, so every member computes the same value,
+// bit for bit for floating types.
+func teamReduce[T reduction.Number](t *Thread, op reduction.Op, v T) T {
+	bank := t.team.ReductionBank(int(t.redSeq & 1))
+	t.redSeq++
+	*redSlot[T](&bank[t.tid]) = v
+	t.Barrier()
+	acc := *redSlot[T](&bank[0])
+	for i := 1; i < len(bank); i++ {
+		acc = reduction.Combine(op, acc, *redSlot[T](&bank[i]))
+	}
+	return acc
+}
+
+// redSlot views a reduction slot's leading bytes as a T; every Number type
+// fits in the slot and none holds a pointer.
+func redSlot[T reduction.Number](s *kmp.RedSlot) *T { return (*T)(unsafe.Pointer(s)) }
 
 // Combine re-exports the reduction combiner so callers can fold a reduction
 // result into the original variable without importing internal packages.

@@ -14,10 +14,16 @@ type Thread struct {
 	team *kmp.Team
 	tid  int
 	// wsSeq numbers the worksharing constructs this thread has
-	// encountered; all team members meet construct k with the same seq
-	// (the OpenMP same-order requirement), which is how they find the
-	// shared construct state.
+	// encountered that keep shared state in the team's ring (static loops
+	// and reductions take no number); all team members meet construct k
+	// with the same seq (the OpenMP same-order requirement), which is how
+	// they find the shared construct state.
 	wsSeq int64
+	// redSeq counts the reductions this thread has taken part in during
+	// the region; its low bit picks the team's reduction bank. All
+	// members start the region at 0 and meet the same reductions, so they
+	// agree on the bank.
+	redSeq uint64
 	// curTask is the innermost explicit task being executed, nil inside
 	// the implicit task; taskwait waits on its children.
 	curTask *task.Unit

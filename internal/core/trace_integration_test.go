@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/icv"
@@ -71,6 +72,60 @@ func TestTraceLoopChunksCoverTripCount(t *testing.T) {
 		}
 		if total != 100 {
 			t.Errorf("chunk lengths sum to %d, want 100", total)
+		}
+	})
+}
+
+// TestTraceStaticLoopChunks: a static loop computes its chunks locally but
+// still emits one EvLoopChunk per executed chunk, carrying the chunk
+// length, from the thread that runs it — for every static construct.
+func TestTraceStaticLoopChunks(t *testing.T) {
+	const n = 4
+	rt := testRuntime(n)
+	withRecorder(t, rt, func(r *trace.Recorder) {
+		var gtid [n]int
+		rt.Parallel(func(th *Thread) {
+			gtid[th.Num()] = th.GlobalID()
+			th.For(100, func(int) {}, Schedule(icv.StaticSched, 3))
+			th.ForChunks(10, func(lo, hi int) {})
+			ReduceFor(th, 9, reduction.Sum, func(i, acc int) int { return acc + i }, Schedule(icv.StaticSched, 2))
+			th.ForNest([]sched.Loop{{Begin: 0, End: 3, Step: 1}, {Begin: 0, End: 5, Step: 1}}, func([]int64) {}, NoWait())
+		})
+		rt.Pool().WaitQuiescent()
+		want := map[int][]int64{}
+		for tid := 0; tid < n; tid++ {
+			g := gtid[tid]
+			for _, loop := range []struct {
+				s    icv.Schedule
+				trip int64
+			}{
+				{icv.Schedule{Kind: icv.StaticSched, Chunk: 3}, 100},
+				{icv.Schedule{Kind: icv.StaticSched}, 10},
+				{icv.Schedule{Kind: icv.StaticSched, Chunk: 2}, 9},
+				{icv.Schedule{Kind: icv.StaticSched}, 15},
+			} {
+				for c := int64(0); ; c++ {
+					ch, ok := sched.StaticChunk(loop.s, loop.trip, n, tid, c)
+					if !ok {
+						break
+					}
+					want[g] = append(want[g], ch.Len())
+				}
+			}
+		}
+		got := map[int][]int64{}
+		for _, rec := range r.Records() {
+			if rec.Ev == trace.EvLoopChunk {
+				got[rec.GTID] = append(got[rec.GTID], rec.Arg)
+			}
+		}
+		for g, w := range want {
+			if fmt.Sprint(got[g]) != fmt.Sprint(w) {
+				t.Errorf("gtid %d: chunk events %v, want %v", g, got[g], w)
+			}
+		}
+		if len(got) != len(want) {
+			t.Errorf("chunk events from %d threads, want %d", len(got), len(want))
 		}
 	})
 }

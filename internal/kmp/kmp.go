@@ -13,11 +13,15 @@
 // Team whose member 0 is the forking goroutine itself, exactly OpenMP's
 // master-participates semantics, and whose members 1..n-1 are pool workers.
 //
-// Worksharing construct state (see workshare.go) lives in a fixed ring of
-// pre-allocated entries per team — libomp's dispatch-buffer scheme — each
-// caching its loop scheduler across tenants (sched.Scheduler.Reset in
-// place), so steady-state loops of any schedule kind, including the
-// work-stealing steal scheduler, allocate nothing.
+// Static loops and reductions keep no shared construct state, as in
+// libomp: each member computes its static chunks locally and reductions
+// fold partials from a team-owned slot bank (see ReductionBank). The
+// constructs that do need shared state — dynamic, guided and steal
+// dispensers, ordered turns, doacross flags, single, sections and
+// copyprivate — find it in a fixed ring of pre-allocated entries per team
+// (see workshare.go), libomp's dispatch-buffer scheme, each caching its
+// loop scheduler across tenants (sched.Scheduler.Reset in place), so
+// steady-state loops of any schedule kind allocate nothing.
 package kmp
 
 import (
@@ -62,12 +66,13 @@ type Pool struct {
 	budget arbiter
 
 	// forkICVs is the atomically published snapshot of the ICVs every fork
-	// reads (team size, dyn-var, thread limit, nesting cap). Runtime setters
-	// (omp_set_num_threads and friends) publish a fresh snapshot instead of
-	// mutating icvs fields in place, so a setter racing a storm of concurrent
-	// forks can never tear a team-size read. While nothing has been
-	// published, forks read the plain icvs fields — single-threaded
-	// configuration (tests, env init) keeps working unchanged.
+	// reads (team size, dyn-var, thread limit, nesting cap, run-sched-var).
+	// Runtime setters (omp_set_num_threads and friends) publish a fresh
+	// snapshot instead of mutating icvs fields in place, so a setter racing
+	// a storm of concurrent forks can never tear a team-size read. While
+	// nothing has been published, forks read the plain icvs fields —
+	// single-threaded configuration (tests, env init) keeps working
+	// unchanged.
 	icvMu    sync.Mutex
 	forkICVs atomic.Pointer[forkVars]
 }
@@ -78,6 +83,7 @@ type forkVars struct {
 	dynamic         bool
 	threadLimit     int
 	maxActiveLevels int
+	runSched        icv.Schedule
 }
 
 // forkSnapshot returns the current fork-relevant ICVs: the published
@@ -91,6 +97,7 @@ func (p *Pool) forkSnapshot() forkVars {
 		dynamic:         p.icvs.Dynamic,
 		threadLimit:     p.icvs.ThreadLimit,
 		maxActiveLevels: p.icvs.MaxActiveLevels,
+		runSched:        p.icvs.RunSched,
 	}
 }
 
@@ -127,6 +134,16 @@ func (p *Pool) SetThreadLimitVar(n int) {
 func (p *Pool) SetMaxActiveLevelsVar(n int) {
 	p.publishForkVars(func(fv *forkVars) { fv.maxActiveLevels = n })
 }
+
+// SetRunSchedVar atomically publishes run-sched-var (omp_set_schedule).
+// Teams forked afterwards resolve schedule(runtime) against the new value;
+// a running team keeps the value it was forked with.
+func (p *Pool) SetRunSchedVar(s icv.Schedule) {
+	p.publishForkVars(func(fv *forkVars) { fv.runSched = s })
+}
+
+// RunSchedVar returns run-sched-var from the snapshot (omp_get_schedule).
+func (p *Pool) RunSchedVar() icv.Schedule { return p.forkSnapshot().runSched }
 
 // NumThreadsVarAt returns nthreads-var for a nesting level from the
 // snapshot (omp_get_max_threads reads level 0).
@@ -347,10 +364,16 @@ type Team struct {
 	bar         barrier.Barrier
 	barKind     barrier.Kind
 	waitPolicy  icv.WaitPolicy
-	ws          wsRing
-	tasks       *task.Pool
-	gtids       []int
-	workers     []*worker // members 1..n-1
+	// runSched is run-sched-var as of this region's fork, so every member
+	// resolves schedule(runtime) to the same schedule however the ICV
+	// changes meanwhile (OpenMP inherits it at fork).
+	runSched icv.Schedule
+	ws       wsRing
+	// red holds the two reduction slot banks (see ReductionBank).
+	red     [2][]RedSlot
+	tasks   *task.Pool
+	gtids   []int
+	workers []*worker // members 1..n-1
 	// micro is the current region's microtask, published before the door
 	// epochs are bumped and cleared at join so the closure is not retained.
 	micro func(tm *Team, tid int)
@@ -388,6 +411,10 @@ func (t *Team) Level() int { return t.level }
 
 // ActiveLevel returns the number of enclosing active (n>1) regions.
 func (t *Team) ActiveLevel() int { return t.activeLevel }
+
+// RunSched returns run-sched-var as of the region's fork: the value every
+// member resolves schedule(runtime) against.
+func (t *Team) RunSched() icv.Schedule { return t.runSched }
 
 // Parent returns the enclosing team, or nil at the outermost level.
 func (t *Team) Parent() *Team { return t.parent }
@@ -449,6 +476,11 @@ type ForkSpec struct {
 // arithmetic without forking.
 func (p *Pool) TeamSize(parent *Team, spec ForkSpec) int {
 	fv := p.forkSnapshot()
+	return teamSize(&fv, parent, spec)
+}
+
+// teamSize is TeamSize against an already loaded ICV snapshot.
+func teamSize(fv *forkVars, parent *Team, spec ForkSpec) int {
 	level, activeLevel := 0, 0
 	if parent != nil {
 		level, activeLevel = parent.level, parent.activeLevel
@@ -491,7 +523,8 @@ func (p *Pool) Fork(parent *Team, spec ForkSpec, micro func(tm *Team, tid int)) 
 // nested regions concurrently each reuse their own cached team instead of
 // contending for one slot. Fork(parent, ...) is ForkFrom(parent, 0, ...).
 func (p *Pool) ForkFrom(parent *Team, ptid int, spec ForkSpec, micro func(tm *Team, tid int)) {
-	n := p.admitTeam(p.TeamSize(parent, spec))
+	fv := p.forkSnapshot()
+	n := p.admitTeam(teamSize(&fv, parent, spec))
 	if trace.Enabled() {
 		gtid := 0
 		if parent != nil {
@@ -507,6 +540,7 @@ func (p *Pool) ForkFrom(parent *Team, ptid int, spec ForkSpec, micro func(tm *Te
 		}
 		slot := &parent.children[childSlot(ptid, n)]
 		tm := p.teamFor(slot, parent, n, level, activeLevel)
+		tm.runSched = fv.runSched
 		// The epilogue is deferred so a region-body panic rethrown by
 		// runTeam still reinstalls the (fully joined) team and returns the
 		// granted threads to the budget — exact release on every path.
@@ -517,6 +551,7 @@ func (p *Pool) ForkFrom(parent *Team, ptid int, spec ForkSpec, micro func(tm *Te
 	ss := p.shards.Load()
 	hi := ss.homeIndex()
 	tm := p.topTeamFor(ss, hi, n)
+	tm.runSched = fv.runSched
 	defer p.topEpilogue(ss, hi, tm, n)
 	p.runTeam(tm, micro)
 }
@@ -571,6 +606,7 @@ func (p *Pool) LeagueSize(n int) int {
 func (p *Pool) League(n int, body func(tm *Team, member int)) {
 	n = p.admitTeam(p.LeagueSize(n))
 	tm := p.teamFor(&p.hotLeague, nil, n, 0, 0)
+	tm.runSched = p.RunSchedVar()
 	defer p.forkEpilogue(&p.hotLeague, tm, n)
 	p.runTeam(tm, body)
 }
@@ -609,6 +645,8 @@ func (p *Pool) buildTeam(parent *Team, n, level, activeLevel int) *Team {
 		children:    make([]atomic.Pointer[Team], 2*n),
 	}
 	tm.ws.init()
+	red := make([]RedSlot, 2*n)
+	tm.red = [2][]RedSlot{red[:n:n], red[n:]}
 	tm.tasks.SetGTIDs(tm.gtids)
 	tm.tasks.SetExec(p.taskExec)
 	tm.tasks.SetOwner(tm)
@@ -632,11 +670,11 @@ func (p *Pool) buildTeam(parent *Team, n, level, activeLevel int) *Team {
 
 // reset revives a cached team for its next region: cancellation and the
 // worksharing ring are cleared in place; barrier, task pool, gtids, worker
-// bindings and member contexts carry over untouched. The GOMAXPROCS spin
-// caches are deliberately NOT refreshed here — unconditional stores to
-// shared globals would bounce cache lines between concurrently forking
-// masters on the hot path; a GOMAXPROCS change is picked up at the next
-// cold team build.
+// bindings, reduction banks and member contexts carry over untouched. The
+// GOMAXPROCS spin caches are deliberately NOT refreshed here —
+// unconditional stores to shared globals would bounce cache lines between
+// concurrently forking masters on the hot path; a GOMAXPROCS change is
+// picked up at the next cold team build.
 func (tm *Team) reset() {
 	if tm.cancelled.Load() {
 		tm.cancelled.Store(false)

@@ -1,8 +1,11 @@
 package kmp
 
 import (
+	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"repro/internal/barrier"
 	"repro/internal/icv"
@@ -333,4 +336,35 @@ func TestWSEntryReusesStealScheduler(t *testing.T) {
 	if total != 50 {
 		t.Errorf("recycled steal scheduler covered %d iterations, want 50", total)
 	}
+}
+
+// TestStaticAndReductionKeepNoRingState: the ring serves only constructs
+// that need shared state. Static schedules have no dispenser to cache in a
+// WSEntry, reductions keep their partials in the team's slot banks instead
+// of an entry, and each bank has one cache-line slot per member.
+func TestStaticAndReductionKeepNoRingState(t *testing.T) {
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(WSEntry{})) {
+		if strings.HasPrefix(strings.ToLower(f.Name), "red") {
+			t.Errorf("WSEntry holds reduction state in field %s", f.Name)
+		}
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("LoopSched built a scheduler for a static schedule")
+			}
+		}()
+		var e WSEntry
+		e.LoopSched(icv.Schedule{Kind: icv.StaticSched}, 10, 2)
+	}()
+	if size := unsafe.Sizeof(RedSlot{}); size != 64 {
+		t.Errorf("reduction slot is %d bytes, want one 64-byte cache line", size)
+	}
+	p := NewPool(fixedICVs(3))
+	p.Fork(nil, ForkSpec{}, func(tm *Team, tid int) {
+		b0, b1 := tm.ReductionBank(0), tm.ReductionBank(1)
+		if len(b0) != 3 || len(b1) != 3 || &b0[0] == &b1[0] {
+			t.Errorf("banks of %d and %d slots (distinct=%v), want two distinct banks of 3", len(b0), len(b1), &b0[0] != &b1[0])
+		}
+	})
 }

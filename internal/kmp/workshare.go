@@ -11,6 +11,15 @@ import (
 
 // Worksharing construct state.
 //
+// Only constructs that need shared state use the ring below: dynamic,
+// guided and steal loops (the chunk dispenser), ordered loops (the turn
+// counter), doacross loops (the flag vector), single, sections and
+// copyprivate. Static loops compute their chunks locally
+// (sched.StaticChunk) and reductions fold partials from the team's slot
+// banks (ReductionBank), so neither claims a ring slot: like libomp's
+// __kmpc_for_static_init and its reductions, they keep no per-construct
+// state at all, and a region that runs only those leaves the ring clean.
+//
 // OpenMP requires every thread of a team to encounter the same worksharing
 // constructs in the same order, which lets the runtime identify "the same
 // construct" by a per-thread sequence number. Construct state lives in a
@@ -86,10 +95,6 @@ type WSEntry struct {
 	sched     sched.Scheduler
 	schedDesc icv.Schedule
 
-	// Reduction accumulator state; the accumulator is typed by the caller.
-	redState atomic.Int32
-	red      any
-
 	// single arbitration: first CAS winner executes the single block.
 	single atomic.Bool
 	// sections dispenser: next unclaimed section index.
@@ -117,8 +122,6 @@ type WSEntry struct {
 // by team reset.
 func (e *WSEntry) recycle() {
 	e.loopState.Store(0)
-	e.redState.Store(0)
-	e.red = nil
 	e.single.Store(false)
 	e.sections.Store(0)
 	e.orderedNext.Store(0)
@@ -131,9 +134,10 @@ func (e *WSEntry) recycle() {
 	e.doaState.Store(doaEmpty)
 }
 
-// LoopSched returns the construct's shared loop scheduler, building it on
-// first arrival. A scheduler cached from an earlier tenant of this ring slot
-// is reset in place when the schedule descriptor matches.
+// LoopSched returns the construct's shared loop scheduler (dynamic, guided
+// or steal; static schedules have none), building it on first arrival. A
+// scheduler cached from an earlier tenant of this ring slot is reset in
+// place when the schedule descriptor matches.
 func (e *WSEntry) LoopSched(desc icv.Schedule, trip int64, nthreads int) sched.Scheduler {
 	if e.loopState.Load() == 2 {
 		return e.sched
@@ -148,21 +152,6 @@ func (e *WSEntry) LoopSched(desc icv.Schedule, trip int64, nthreads int) sched.S
 	}
 	spinUntil(func() bool { return e.loopState.Load() == 2 })
 	return e.sched
-}
-
-// InitReduction installs the reduction accumulator exactly once and returns
-// it; mk runs only for the first arrival.
-func (e *WSEntry) InitReduction(mk func() any) any {
-	if e.redState.Load() == 2 {
-		return e.red
-	}
-	if e.redState.CompareAndSwap(0, 1) {
-		e.red = mk()
-		e.redState.Store(2)
-		return e.red
-	}
-	spinUntil(func() bool { return e.redState.Load() == 2 })
-	return e.red
 }
 
 // TrySingle reports whether the calling thread won the single construct.
@@ -306,3 +295,24 @@ func (t *Team) LiveConstructs() int {
 	}
 	return live
 }
+
+// RingDirty reports whether some construct has retired since the ring's
+// last reset, i.e. whether the next fork of this team must restore it
+// (test hook: a region of static loops and reductions leaves it false).
+func (t *Team) RingDirty() bool { return t.ws.dirty.Load() }
+
+// RedSlot is one member's reduction partial, alone on a cache line so
+// members writing their partials do not false-share. The embedding layer
+// stores a partial's bits in the slot's leading bytes; partials are plain
+// numbers, at most 8 bytes wide.
+type RedSlot struct{ w [8]uint64 }
+
+// ReductionBank returns bank b (0 or 1) of the team's reduction slots, one
+// per member. A reduction writes each member's partial to its own slot,
+// takes one barrier, and lets every member fold the whole bank. Members
+// alternate banks between consecutive reductions: a member can reach the
+// reduction after next, which reuses this bank, only by passing the next
+// reduction's barrier, and every member arrives there only after it has
+// finished folding this bank — so no slot is overwritten while a slower
+// member still reads it.
+func (t *Team) ReductionBank(b int) []RedSlot { return t.red[b] }

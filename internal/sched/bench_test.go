@@ -45,11 +45,14 @@ func benchWork(k int64, imbalanced bool) float64 {
 
 func benchSched(b *testing.B, s icv.Schedule, imbalanced bool) {
 	nthreads := benchTeamSize()
-	sc := New(s, benchTrip, nthreads)
+	var sc Scheduler
+	if !Static(s) {
+		sc = New(s, benchTrip, nthreads)
+	}
 	var sink atomic.Int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if i > 0 && !sc.Reset(benchTrip, nthreads) {
+		if i > 0 && sc != nil && !sc.Reset(benchTrip, nthreads) {
 			b.Fatal("Reset refused")
 		}
 		var wg sync.WaitGroup
@@ -58,8 +61,14 @@ func benchSched(b *testing.B, s icv.Schedule, imbalanced bool) {
 			go func(tid int) {
 				defer wg.Done()
 				var acc float64
-				for {
-					c, ok := sc.Next(tid)
+				for ci := int64(0); ; ci++ {
+					var c Chunk
+					var ok bool
+					if sc == nil {
+						c, ok = StaticChunk(s, benchTrip, nthreads, tid, ci)
+					} else {
+						c, ok = sc.Next(tid)
+					}
 					if !ok {
 						break
 					}

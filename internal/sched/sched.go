@@ -6,17 +6,19 @@
 // bounds" — this package is that routine.
 //
 // A loop is first normalised to a trip count (the number of iterations);
-// schedulers deal in half-open chunk ranges [Begin, End) of *logical
-// iteration numbers*, which Loop.Iteration maps back to user loop-variable
-// values. This matches how libomp's __kmpc_for_static_init /
+// static schedules are a pure function of trip count, team size and thread
+// number (StaticChunk), as in libomp, while the other kinds hand out chunks
+// from a shared Scheduler. Both deal in half-open chunk ranges [Begin, End)
+// of *logical iteration numbers*, which Loop.Iteration maps back to user
+// loop-variable values. This matches how libomp's __kmpc_for_static_init /
 // __kmpc_dispatch_next operate on a normalised iteration space. Nest
 // extends the same normalisation to perfectly nested loops: collapse(n)
 // flattens the nest into one logical space and Delinearize recovers the
 // per-level loop variables from a logical iteration number.
 //
-// Every scheduler is Reset-able in place, which is what lets the kmp
+// Every Scheduler is Reset-able in place, which is what lets the kmp
 // worksharing ring cache one scheduler per ring slot and run steady-state
-// loops without allocation.
+// dispensed loops without allocation.
 package sched
 
 import (
@@ -85,9 +87,17 @@ type Scheduler interface {
 	Reset(trip int64, nthreads int) bool
 }
 
-// New builds a scheduler for the given schedule, trip count and team size.
-// RuntimeSched must be resolved against the run-sched ICV by the caller
-// before reaching here (Resolve does that); AutoSched maps to static.
+// Static reports whether the resolved schedule s is static — block,
+// static,k, or auto, which this runtime maps to static. Static loops take
+// their chunks from StaticChunk; only the other kinds need a Scheduler.
+func Static(s icv.Schedule) bool {
+	return s.Kind == icv.StaticSched || s.Kind == icv.AutoSched
+}
+
+// New builds the shared chunk dispenser for a dynamic, guided or steal
+// schedule. RuntimeSched must be resolved against run-sched-var by the
+// caller before reaching here (Resolve does that), and static schedules
+// have no dispenser: each thread computes its chunks with StaticChunk.
 func New(s icv.Schedule, trip int64, nthreads int) Scheduler {
 	if nthreads < 1 {
 		panic("sched: nthreads must be >= 1")
@@ -97,10 +107,7 @@ func New(s icv.Schedule, trip int64, nthreads int) Scheduler {
 	}
 	switch s.Kind {
 	case icv.StaticSched, icv.AutoSched:
-		if s.Chunk > 0 {
-			return newStaticChunked(trip, nthreads, int64(s.Chunk))
-		}
-		return newStaticBlock(trip, nthreads)
+		panic("sched: static schedules have no dispenser; use StaticChunk")
 	case icv.DynamicSched:
 		chunk := int64(s.Chunk)
 		if chunk <= 0 {
@@ -126,10 +133,13 @@ func New(s icv.Schedule, trip int64, nthreads int) Scheduler {
 	}
 }
 
-// Resolve replaces schedule(runtime) with the run-sched ICV value.
-func Resolve(s icv.Schedule, icvs *icv.Set) icv.Schedule {
+// Resolve replaces schedule(runtime) with run, the run-sched-var value the
+// encountering team was forked with. Every member of a team resolves
+// against the same value, so all of them take the same path — the static
+// computation or the shared dispenser.
+func Resolve(s icv.Schedule, run icv.Schedule) icv.Schedule {
 	if s.Kind == icv.RuntimeSched {
-		r := icvs.RunSched
+		r := run
 		if r.Kind == icv.RuntimeSched { // guard against ICV set to runtime
 			return icv.Schedule{Kind: icv.StaticSched}
 		}
@@ -138,22 +148,10 @@ func Resolve(s icv.Schedule, icvs *icv.Set) icv.Schedule {
 	return s
 }
 
-// staticBlock divides the iteration space into one contiguous block per
-// thread. Like libomp, the first (trip mod nthreads) threads receive one
-// extra iteration, so block sizes differ by at most one.
-type staticBlock struct {
-	trip     int64
-	nthreads int64
-	done     []paddedBool
-}
-
-func newStaticBlock(trip int64, nthreads int) *staticBlock {
-	return &staticBlock{trip: trip, nthreads: int64(nthreads), done: make([]paddedBool, nthreads)}
-}
-
 // StaticBlockBounds returns thread tid's block [begin, end) under block-static
-// scheduling; exported as a pure function because the transformer and tests
-// want the bound arithmetic without scheduler state.
+// scheduling: one contiguous block per thread, the first (trip mod
+// nthreads) threads taking one extra iteration, so block sizes differ by at
+// most one (libomp's static_balanced split).
 func StaticBlockBounds(trip int64, nthreads, tid int) (begin, end int64) {
 	n := int64(nthreads)
 	t := int64(tid)
@@ -169,68 +167,33 @@ func StaticBlockBounds(trip int64, nthreads, tid int) (begin, end int64) {
 	return begin, end
 }
 
-// Reset implements Scheduler, growing the per-thread flag array only when
-// the team outgrows its previous capacity.
-func (s *staticBlock) Reset(trip int64, nthreads int) bool {
-	if nthreads > len(s.done) {
-		s.done = make([]paddedBool, nthreads)
-	} else {
-		for i := range s.done {
-			s.done[i].v = false
+// StaticChunk returns thread tid's c-th chunk (c = 0, 1, ...) of a loop of
+// trip iterations under the static schedule s on a team of nthreads, and
+// ok=false once the thread has no c-th chunk. Block static (no chunk size)
+// gives each thread its StaticBlockBounds block as chunk 0; static,k deals
+// k-iteration chunks round-robin, thread tid taking chunks tid, tid+n,
+// tid+2n, ... — libomp's __kmpc_for_static_init arithmetic. It is a pure
+// function of its arguments, so every team member computes its own chunks
+// and a static loop touches no shared construct state.
+func StaticChunk(s icv.Schedule, trip int64, nthreads, tid int, c int64) (Chunk, bool) {
+	if s.Chunk <= 0 {
+		if c > 0 {
+			return Chunk{}, false
 		}
+		begin, end := StaticBlockBounds(trip, nthreads, tid)
+		return Chunk{begin, end}, begin < end
 	}
-	s.trip, s.nthreads = trip, int64(nthreads)
-	return true
-}
-
-func (s *staticBlock) Next(tid int) (Chunk, bool) {
-	if s.done[tid].v {
+	k := int64(s.Chunk)
+	chunks := trip / k
+	if trip%k != 0 {
+		chunks++
+	}
+	idx := c*int64(nthreads) + int64(tid)
+	if idx >= chunks {
 		return Chunk{}, false
 	}
-	s.done[tid].v = true
-	begin, end := StaticBlockBounds(s.trip, int(s.nthreads), tid)
-	if begin >= end {
-		return Chunk{}, false
-	}
-	return Chunk{begin, end}, true
-}
-
-// staticChunked round-robins fixed-size chunks: thread t takes chunks
-// t, t+n, t+2n, ... (schedule(static, chunk)).
-type staticChunked struct {
-	trip, chunk, nthreads int64
-	next                  []paddedI64 // next chunk index for each thread
-}
-
-func newStaticChunked(trip int64, nthreads int, chunk int64) *staticChunked {
-	s := &staticChunked{trip: trip, chunk: chunk, nthreads: int64(nthreads), next: make([]paddedI64, nthreads)}
-	for i := range s.next {
-		s.next[i].v = int64(i)
-	}
-	return s
-}
-
-// Reset implements Scheduler; the chunk size carries over (the caller has
-// verified the schedule descriptor matches).
-func (s *staticChunked) Reset(trip int64, nthreads int) bool {
-	if nthreads > len(s.next) {
-		s.next = make([]paddedI64, nthreads)
-	}
-	for i := range s.next {
-		s.next[i].v = int64(i)
-	}
-	s.trip, s.nthreads = trip, int64(nthreads)
-	return true
-}
-
-func (s *staticChunked) Next(tid int) (Chunk, bool) {
-	idx := s.next[tid].v
-	begin := idx * s.chunk
-	if begin >= s.trip {
-		return Chunk{}, false
-	}
-	s.next[tid].v = idx + s.nthreads
-	return Chunk{begin, min(begin+s.chunk, s.trip)}, true
+	begin := idx * k
+	return Chunk{begin, min(begin+k, trip)}, true
 }
 
 // dynamic hands out fixed-size chunks from a shared atomic cursor
@@ -303,14 +266,4 @@ func (s *guided) Next(int) (Chunk, bool) {
 			return Chunk{begin, begin + size}, true
 		}
 	}
-}
-
-type paddedI64 struct {
-	v int64
-	_ [56]byte
-}
-
-type paddedBool struct {
-	v bool
-	_ [63]byte
 }

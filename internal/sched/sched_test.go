@@ -8,17 +8,17 @@ import (
 	"repro/internal/icv"
 )
 
-// drain pulls all chunks for each tid sequentially (valid for static kinds,
-// where per-thread sequences are independent).
-func drain(s Scheduler, nthreads int) map[int][]Chunk {
+// staticDrain collects every thread's chunks of a static schedule from the
+// pure StaticChunk function.
+func staticDrain(s icv.Schedule, trip int64, nthreads int) map[int][]Chunk {
 	out := make(map[int][]Chunk)
 	for tid := 0; tid < nthreads; tid++ {
-		for {
-			c, ok := s.Next(tid)
+		for c := int64(0); ; c++ {
+			ch, ok := StaticChunk(s, trip, nthreads, tid, c)
 			if !ok {
 				break
 			}
-			out[tid] = append(out[tid], c)
+			out[tid] = append(out[tid], ch)
 		}
 	}
 	return out
@@ -74,27 +74,43 @@ func checkPartition(t *testing.T, chunks map[int][]Chunk, trip int64) {
 	}
 }
 
-func scheduleCases() []icv.Schedule {
+// staticCases are the schedules StaticChunk computes; dispenserCases are
+// the ones New builds a shared Scheduler for.
+func staticCases() []icv.Schedule {
 	return []icv.Schedule{
 		{Kind: icv.StaticSched},
 		{Kind: icv.StaticSched, Chunk: 1},
 		{Kind: icv.StaticSched, Chunk: 3},
 		{Kind: icv.StaticSched, Chunk: 100},
+		{Kind: icv.AutoSched},
+	}
+}
+
+func dispenserCases() []icv.Schedule {
+	return []icv.Schedule{
 		{Kind: icv.DynamicSched},
 		{Kind: icv.DynamicSched, Chunk: 7},
 		{Kind: icv.GuidedSched},
 		{Kind: icv.GuidedSched, Chunk: 4},
-		{Kind: icv.AutoSched},
 		{Kind: icv.StealSched},
 		{Kind: icv.StealSched, Chunk: 4},
 	}
 }
 
+// chunksFor collects one loop's chunks under s: computed for static
+// schedules, drawn concurrently from a fresh dispenser otherwise.
+func chunksFor(s icv.Schedule, trip int64, nthreads int) map[int][]Chunk {
+	if Static(s) {
+		return staticDrain(s, trip, nthreads)
+	}
+	return drainConcurrent(New(s, trip, nthreads), nthreads)
+}
+
 func TestAllSchedulesPartitionIterationSpace(t *testing.T) {
-	for _, s := range scheduleCases() {
+	for _, s := range append(staticCases(), dispenserCases()...) {
 		for _, trip := range []int64{0, 1, 2, 7, 64, 1000} {
 			for _, n := range []int{1, 2, 3, 8} {
-				chunks := drainConcurrent(New(s, trip, n), n)
+				chunks := chunksFor(s, trip, n)
 				var total int64
 				for _, cs := range chunks {
 					for _, c := range cs {
@@ -124,7 +140,7 @@ func TestStaticBlockShape(t *testing.T) {
 }
 
 func TestStaticBlockSingleChunkPerThread(t *testing.T) {
-	chunks := drain(New(icv.Schedule{Kind: icv.StaticSched}, 100, 8), 8)
+	chunks := staticDrain(icv.Schedule{Kind: icv.StaticSched}, 100, 8)
 	for tid, cs := range chunks {
 		if len(cs) != 1 {
 			t.Errorf("tid %d: %d chunks, want 1", tid, len(cs))
@@ -164,7 +180,7 @@ func TestStaticBlockBalance(t *testing.T) {
 func TestStaticChunkedRoundRobin(t *testing.T) {
 	// schedule(static,2), 12 iterations, 3 threads:
 	// t0: [0,2) [6,8), t1: [2,4) [8,10), t2: [4,6) [10,12)
-	chunks := drain(New(icv.Schedule{Kind: icv.StaticSched, Chunk: 2}, 12, 3), 3)
+	chunks := staticDrain(icv.Schedule{Kind: icv.StaticSched, Chunk: 2}, 12, 3)
 	want := map[int][]Chunk{
 		0: {{0, 2}, {6, 8}},
 		1: {{2, 4}, {8, 10}},
@@ -182,16 +198,18 @@ func TestStaticChunkedRoundRobin(t *testing.T) {
 	}
 }
 
+// TestStaticChunkedIsDeterministic: StaticChunk is a pure function, so a
+// thread asking for its chunks in any order (or asking twice) gets the same
+// chunks as one walking them in sequence — the property that lets every
+// team member compute its share without shared state.
 func TestStaticChunkedIsDeterministic(t *testing.T) {
-	a := drain(New(icv.Schedule{Kind: icv.StaticSched, Chunk: 5}, 137, 4), 4)
-	b := drain(New(icv.Schedule{Kind: icv.StaticSched, Chunk: 5}, 137, 4), 4)
+	s := icv.Schedule{Kind: icv.StaticSched, Chunk: 5}
+	a := staticDrain(s, 137, 4)
 	for tid := 0; tid < 4; tid++ {
-		if len(a[tid]) != len(b[tid]) {
-			t.Fatalf("nondeterministic static schedule")
-		}
-		for i := range a[tid] {
-			if a[tid][i] != b[tid][i] {
-				t.Fatalf("nondeterministic static schedule")
+		for c := len(a[tid]) - 1; c >= 0; c-- {
+			got, ok := StaticChunk(s, 137, 4, tid, int64(c))
+			if !ok || got != a[tid][c] {
+				t.Fatalf("tid %d chunk %d: reverse lookup %+v/%v, sequential %+v", tid, c, got, ok, a[tid][c])
 			}
 		}
 	}
@@ -269,17 +287,17 @@ func TestGuidedRespectsMinChunk(t *testing.T) {
 func TestResolveRuntime(t *testing.T) {
 	icvs := icv.Default()
 	icvs.RunSched = icv.Schedule{Kind: icv.GuidedSched, Chunk: 9}
-	got := Resolve(icv.Schedule{Kind: icv.RuntimeSched}, icvs)
+	got := Resolve(icv.Schedule{Kind: icv.RuntimeSched}, icvs.RunSched)
 	if got != icvs.RunSched {
 		t.Errorf("Resolve(runtime) = %+v", got)
 	}
 	static := icv.Schedule{Kind: icv.StaticSched, Chunk: 2}
-	if Resolve(static, icvs) != static {
+	if Resolve(static, icvs.RunSched) != static {
 		t.Error("Resolve must not touch non-runtime schedules")
 	}
 	// Pathological: run-sched-var itself says runtime; fall back to static.
 	icvs.RunSched = icv.Schedule{Kind: icv.RuntimeSched}
-	if got := Resolve(icv.Schedule{Kind: icv.RuntimeSched}, icvs); got.Kind != icv.StaticSched {
+	if got := Resolve(icv.Schedule{Kind: icv.RuntimeSched}, icvs.RunSched); got.Kind != icv.StaticSched {
 		t.Errorf("self-referential runtime schedule should fall back to static, got %+v", got)
 	}
 }
@@ -347,7 +365,7 @@ func TestLoopTripCountProperty(t *testing.T) {
 // new iteration space exactly as a freshly built one would — the property
 // the worksharing ring relies on to keep long regions allocation-free.
 func TestResetReconfiguresInPlace(t *testing.T) {
-	for _, s := range scheduleCases() {
+	for _, s := range dispenserCases() {
 		sc := New(s, 64, 4)
 		drainConcurrent(sc, 4) // exhaust the first loop
 		for _, shape := range []struct {
@@ -377,7 +395,7 @@ func TestResetReconfiguresInPlace(t *testing.T) {
 // TestResetMatchesFresh: a reset scheduler must hand out the same chunks as
 // a new scheduler of identical shape (determinism across reuse).
 func TestResetMatchesFresh(t *testing.T) {
-	for _, s := range scheduleCases() {
+	for _, s := range dispenserCases() {
 		reused := New(s, 33, 3)
 		drainConcurrent(reused, 3)
 		if !reused.Reset(50, 2) {
@@ -403,12 +421,9 @@ func TestResetMatchesFresh(t *testing.T) {
 }
 
 func TestZeroTripLoops(t *testing.T) {
-	for _, s := range scheduleCases() {
-		sc := New(s, 0, 4)
-		for tid := 0; tid < 4; tid++ {
-			if c, ok := sc.Next(tid); ok {
-				t.Errorf("%v: zero-trip loop yielded %+v", s, c)
-			}
+	for _, s := range append(staticCases(), dispenserCases()...) {
+		for tid, cs := range chunksFor(s, 0, 4) {
+			t.Errorf("%v: zero-trip loop gave tid %d chunks %+v", s, tid, cs)
 		}
 	}
 }
@@ -417,6 +432,9 @@ func TestNewPanics(t *testing.T) {
 	for _, fn := range []func(){
 		func() { New(icv.Schedule{Kind: icv.StaticSched}, 10, 0) },
 		func() { New(icv.Schedule{Kind: icv.RuntimeSched}, 10, 2) },
+		// Static schedules are computed by StaticChunk, never dispensed.
+		func() { New(icv.Schedule{Kind: icv.StaticSched}, 10, 2) },
+		func() { New(icv.Schedule{Kind: icv.AutoSched, Chunk: 4}, 10, 2) },
 	} {
 		func() {
 			defer func() {

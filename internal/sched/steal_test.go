@@ -180,7 +180,7 @@ func TestSchedDynamicCursorClamped(t *testing.T) {
 func TestSchedStealResolveRuntime(t *testing.T) {
 	icvs := icv.Default()
 	icvs.RunSched = icv.Schedule{Kind: icv.StealSched, Chunk: 2}
-	got := Resolve(icv.Schedule{Kind: icv.RuntimeSched}, icvs)
+	got := Resolve(icv.Schedule{Kind: icv.RuntimeSched}, icvs.RunSched)
 	if got != icvs.RunSched {
 		t.Errorf("Resolve(runtime) = %+v, want the steal run-sched", got)
 	}
