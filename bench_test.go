@@ -5,9 +5,10 @@
 //     vs GoMP (OpenMP runtime), one pair per kernel.
 //   - BenchmarkSpeedup_*: the §3.1 speedup metric — each kernel at
 //     increasing thread counts (relative speedup = t1/tN across sub-runs).
-//   - BenchmarkAblation_*: A1 barrier algorithms, A2 schedule choice on
-//     the imbalanced Mandelbrot rows, A3 reduction strategies, A4 hot-team
-//     fork-join reuse, and the E5 interop call overhead.
+//   - BenchmarkAblation_*: A2 schedule choice on the imbalanced Mandelbrot
+//     rows, A3 reduction strategies, A4 hot-team fork-join reuse, and the
+//     E5 interop call overhead. (A1, the barrier-algorithm ablation, ended
+//     with a single barrier; see DESIGN.md "Barrier algorithm".)
 //
 // Problem sizes are class S / small grids so the full suite runs in
 // minutes; cmd/table1 -class A reproduces the table at benchmark scale.
@@ -19,7 +20,6 @@ import (
 	"testing"
 
 	gomp "repro"
-	"repro/internal/barrier"
 	"repro/internal/harness"
 	"repro/internal/icv"
 	"repro/internal/kmp"
@@ -111,35 +111,6 @@ func BenchmarkSpeedup_CG(b *testing.B)         { benchSpeedup(b, 0) }
 func BenchmarkSpeedup_EP(b *testing.B)         { benchSpeedup(b, 1) }
 func BenchmarkSpeedup_IS(b *testing.B)         { benchSpeedup(b, 2) }
 func BenchmarkSpeedup_Mandelbrot(b *testing.B) { benchSpeedup(b, 3) }
-
-// --- A1: barrier algorithm ablation ---
-
-func benchBarrierKind(b *testing.B, kind barrier.Kind) {
-	n := maxThreads()
-	if n < 2 {
-		n = 2
-	}
-	bar := barrier.New(kind, n, icv.PolicyAuto)
-	var wg sync.WaitGroup
-	iters := b.N
-	b.ResetTimer()
-	for id := 0; id < n; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				bar.Wait(id)
-			}
-		}(id)
-	}
-	wg.Wait()
-}
-
-func BenchmarkAblation_Barrier_Central(b *testing.B) { benchBarrierKind(b, barrier.CentralKind) }
-func BenchmarkAblation_Barrier_Tree(b *testing.B)    { benchBarrierKind(b, barrier.TreeKind) }
-func BenchmarkAblation_Barrier_Dissemination(b *testing.B) {
-	benchBarrierKind(b, barrier.DisseminationKind)
-}
 
 // --- A2: schedule ablation on the imbalanced Mandelbrot rows ---
 
@@ -315,8 +286,8 @@ func BenchmarkAblation_Granularity_PerChunk(b *testing.B) {
 // methodology of the EPCC OpenMP microbenchmark suite (syncbench): Fork is a
 // bare parallel region, For a bare worksharing loop inside one long-lived
 // region, Barrier a bare team barrier, Reduction a one-value-per-thread
-// combine. cmd/syncbench runs the same measurements standalone and emits
-// BENCH_overheads.json.
+// combine. They run at team size GOMAXPROCS; README's "Measured
+// performance" section quotes them with that stamp.
 
 func BenchmarkOverhead_Fork(b *testing.B) {
 	s := icv.Default()
@@ -452,12 +423,12 @@ func BenchmarkOverhead_Taskloop(b *testing.B) {
 	})
 }
 
-// --- EPCC taskbench / BOTS task microbenchmarks (cmd/taskbench) ---
+// --- EPCC taskbench / BOTS task microbenchmarks ---
 //
-// Oracle-checked task-tree workloads; cmd/taskbench runs the same kernels
-// over a 1..8-thread sweep and emits BENCH_tasks.json. Here they run at
-// GOMAXPROCS threads so `-bench BenchmarkTasks -benchtime=1x` doubles as a
-// correctness smoke of the work-stealing spawn tree.
+// Oracle-checked task-tree workloads; perfbench's tasks workload runs the
+// same kernels at larger sizes. Here they run at GOMAXPROCS threads so
+// `-bench BenchmarkTasks -benchtime=1x` doubles as a correctness smoke of
+// the work-stealing spawn tree.
 
 func BenchmarkTasks_Fib(b *testing.B) {
 	rt := benchRuntime(maxThreads())

@@ -8,6 +8,8 @@ package gomp_test
 import (
 	"fmt"
 	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -109,13 +111,73 @@ func TestREADMEListsEveryScheduleSpelling(t *testing.T) {
 func TestREADMELinksTheArtifacts(t *testing.T) {
 	md := readme(t)
 	for _, want := range []string{
-		"DESIGN.md", "BENCH_overheads.json", "examples/quickstart", "cmd/gompcc",
+		"DESIGN.md", "BENCHMARK.json", "perfbench/README.md", "examples/quickstart", "cmd/gompcc",
 		"gompcc", "OMP_SCHEDULE",
 	} {
 		if !strings.Contains(md, want) {
 			t.Errorf("README.md does not reference %s", want)
 		}
 	}
+}
+
+// docPathPatterns match the repository paths README.md and DESIGN.md name
+// that must exist: command directories and JSON files.
+var docPathPatterns = []*regexp.Regexp{
+	regexp.MustCompile(`\bcmd/[A-Za-z0-9_]+`),
+	regexp.MustCompile(`[A-Za-z0-9_./-]+\.json\b`),
+}
+
+// docRuntimeFiles are JSON names the docs use for files the code writes at
+// run time, mapped to the package whose source must still spell them.
+var docRuntimeFiles = map[string]string{
+	"index.json": "internal/modpipe",
+}
+
+// TestDocsNameNoDanglingPaths fails when README.md or DESIGN.md names a
+// cmd/<x> directory or a *.json file that is not in the repository, so a
+// deleted tool or artifact cannot linger in the docs.
+func TestDocsNameNoDanglingPaths(t *testing.T) {
+	docs := map[string]string{"README.md": readme(t), "DESIGN.md": design(t)}
+	for doc, md := range docs {
+		for _, re := range docPathPatterns {
+			for _, path := range re.FindAllString(md, -1) {
+				path = strings.TrimPrefix(path, "./")
+				if _, err := os.Stat(path); err == nil {
+					continue
+				}
+				if pkg, ok := docRuntimeFiles[path]; ok {
+					if !sourceMentions(t, pkg, `"`+path+`"`) {
+						t.Errorf("%s names run-time file %s, which %s no longer writes", doc, path, pkg)
+					}
+					continue
+				}
+				t.Errorf("%s names %s, which does not exist", doc, path)
+			}
+		}
+	}
+}
+
+// sourceMentions reports whether a non-test Go file of package dir contains
+// needle.
+func sourceMentions(t *testing.T, dir, needle string) bool {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if strings.HasSuffix(f, "_test.go") {
+			continue
+		}
+		buf, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(string(buf), needle) {
+			return true
+		}
+	}
+	return false
 }
 
 // TestREADMEReductionOps keeps the documented reduction operator list in
@@ -147,7 +209,7 @@ func TestREADMEModuleMode(t *testing.T) {
 		}
 	}
 	for _, want := range []string{
-		"BENCH_gompcc.json", "cmd/gompccbench", "internal/modpipe/corpusgen",
+		"BENCHMARK.json", "perfbench/README.md", "internal/modpipe/corpusgen",
 		"recover()", "cache hits",
 	} {
 		if !strings.Contains(md, want) {

@@ -9,12 +9,10 @@ import (
 	"repro/internal/icv"
 )
 
-var kinds = []Kind{CentralKind, TreeKind, DisseminationKind}
-
 // checkPhases runs a team of n through `phases` barrier episodes and asserts
 // the fundamental barrier property: no participant enters phase p+1 while
 // another is still in phase p.
-func checkPhases(t *testing.T, b Barrier, n, phases int) {
+func checkPhases(t *testing.T, b *Dissemination, n, phases int) {
 	t.Helper()
 	var inPhase atomic.Int64 // how many have arrived in the current phase
 	var violations atomic.Int64
@@ -49,13 +47,11 @@ func checkPhases(t *testing.T, b Barrier, n, phases int) {
 }
 
 func TestBarrierPhaseSeparation(t *testing.T) {
-	for _, k := range kinds {
-		for _, n := range []int{1, 2, 3, 4, 7, 8, 16} {
-			b := New(k, n, icv.PolicyAuto)
-			t.Run(k.String()+"/"+string(rune('0'+n%10)), func(t *testing.T) {
-				checkPhases(t, b, n, 50)
-			})
-		}
+	for _, n := range []int{1, 2, 3, 4, 7, 8, 16} {
+		b := NewDissemination(n, icv.PolicyAuto)
+		t.Run("dissemination/"+string(rune('0'+n%10)), func(t *testing.T) {
+			checkPhases(t, b, n, 50)
+		})
 	}
 }
 
@@ -63,107 +59,64 @@ func TestBarrierPhaseSeparation(t *testing.T) {
 // participant's side effect: each thread writes its slot before the barrier
 // and validates all slots after.
 func TestBarrierAllArrive(t *testing.T) {
-	for _, k := range kinds {
-		for _, n := range []int{1, 2, 5, 8, 13} {
-			b := New(k, n, icv.PolicyAuto)
-			slots := make([]atomic.Int64, n)
-			var bad atomic.Int64
-			var wg sync.WaitGroup
-			for id := 0; id < n; id++ {
-				wg.Add(1)
-				go func(id int) {
-					defer wg.Done()
-					for phase := int64(1); phase <= 30; phase++ {
-						slots[id].Store(phase)
-						b.Wait(id)
-						for j := 0; j < n; j++ {
-							if slots[j].Load() < phase {
-								bad.Add(1)
-							}
+	for _, n := range []int{1, 2, 5, 8, 13} {
+		b := NewDissemination(n, icv.PolicyAuto)
+		slots := make([]atomic.Int64, n)
+		var bad atomic.Int64
+		var wg sync.WaitGroup
+		for id := 0; id < n; id++ {
+			wg.Add(1)
+			go func(id int) {
+				defer wg.Done()
+				for phase := int64(1); phase <= 30; phase++ {
+					slots[id].Store(phase)
+					b.Wait(id)
+					for j := 0; j < n; j++ {
+						if slots[j].Load() < phase {
+							bad.Add(1)
 						}
-						b.Wait(id)
 					}
-				}(id)
-			}
-			wg.Wait()
-			if bad.Load() != 0 {
-				t.Errorf("%v n=%d: %d stale reads after barrier", k, n, bad.Load())
-			}
+					b.Wait(id)
+				}
+			}(id)
+		}
+		wg.Wait()
+		if bad.Load() != 0 {
+			t.Errorf("n=%d: %d stale reads after barrier", n, bad.Load())
 		}
 	}
 }
 
 func TestSingleParticipantNeverBlocks(t *testing.T) {
-	for _, k := range kinds {
-		b := New(k, 1, icv.PolicyAuto)
-		for i := 0; i < 1000; i++ {
-			b.Wait(0)
-		}
-		if b.N() != 1 {
-			t.Errorf("%v: N = %d", k, b.N())
-		}
+	b := NewDissemination(1, icv.PolicyAuto)
+	for i := 0; i < 1000; i++ {
+		b.Wait(0)
+	}
+	if b.N() != 1 {
+		t.Errorf("N = %d", b.N())
 	}
 }
 
 func TestPassivePolicy(t *testing.T) {
 	// Same correctness under the passive wait policy (sleep path).
-	for _, k := range kinds {
-		b := New(k, 4, icv.PolicyPassive)
-		checkPhases(t, b, 4, 10)
-	}
+	checkPhases(t, NewDissemination(4, icv.PolicyPassive), 4, 10)
 }
 
 func TestActivePolicy(t *testing.T) {
-	for _, k := range kinds {
-		b := New(k, 4, icv.PolicyActive)
-		checkPhases(t, b, 4, 10)
-	}
-}
-
-func TestKindString(t *testing.T) {
-	for _, k := range kinds {
-		parsed, err := ParseKind(k.String())
-		if err != nil || parsed != k {
-			t.Errorf("round trip %v -> %q -> %v, %v", k, k.String(), parsed, err)
-		}
-	}
-	if _, err := ParseKind("bogus"); err == nil {
-		t.Error("expected error for unknown kind")
-	}
+	checkPhases(t, NewDissemination(4, icv.PolicyActive), 4, 10)
 }
 
 func TestNewPanicsOnZeroParticipants(t *testing.T) {
-	for _, ctor := range []func(){
-		func() { NewCentral(0, icv.PolicyAuto) },
-		func() { NewTree(0, icv.PolicyAuto) },
-		func() { NewDissemination(0, icv.PolicyAuto) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic for n=0")
-				}
-			}()
-			ctor()
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("expected panic for n=0")
+		}
+	}()
+	NewDissemination(0, icv.PolicyAuto)
 }
 
-func TestTreeChildrenCount(t *testing.T) {
-	b := NewTree(6, icv.PolicyAuto) // arity 4: node 0 has children 1..4, node 1 has child 5
-	if got := b.children(0); got != 4 {
-		t.Errorf("children(0) = %d, want 4", got)
-	}
-	if got := b.children(1); got != 1 {
-		t.Errorf("children(1) = %d, want 1", got)
-	}
-	if got := b.children(5); got != 0 {
-		t.Errorf("children(5) = %d, want 0", got)
-	}
-}
-
-func benchBarrier(b *testing.B, kind Kind, n int) {
-	bar := New(kind, n, icv.PolicyAuto)
+func benchBarrier(b *testing.B, n int) {
+	bar := NewDissemination(n, icv.PolicyAuto)
 	var wg sync.WaitGroup
 	iters := b.N
 	b.ResetTimer()
@@ -179,9 +132,7 @@ func benchBarrier(b *testing.B, kind Kind, n int) {
 	wg.Wait()
 }
 
-func BenchmarkCentral4(b *testing.B)       { benchBarrier(b, CentralKind, 4) }
-func BenchmarkTree4(b *testing.B)          { benchBarrier(b, TreeKind, 4) }
-func BenchmarkDissemination4(b *testing.B) { benchBarrier(b, DisseminationKind, 4) }
+func BenchmarkDissemination4(b *testing.B) { benchBarrier(b, 4) }
 
 // queueWork is a Work stub: a mutex-guarded queue of closures.
 type queueWork struct {
@@ -212,34 +163,32 @@ func (q *queueWork) RunOne(id int) bool {
 
 // TestWaitWorkExecutesWhileWaiting holds the last participant back until
 // the waiters have drained a work queue: the barrier can only release once
-// the waiting participants executed the work, for every algorithm.
+// the waiting participants executed the work.
 func TestWaitWorkExecutesWhileWaiting(t *testing.T) {
-	for _, kind := range kinds {
-		for _, n := range []int{2, 4} {
-			b := New(kind, n, icv.PolicyAuto)
-			w := &queueWork{}
-			const jobs = 32
-			for i := 0; i < jobs; i++ {
-				w.add(func() {})
-			}
-			var wg sync.WaitGroup
-			for id := 1; id < n; id++ {
-				wg.Add(1)
-				go func(id int) {
-					defer wg.Done()
-					b.WaitWork(id, w)
-				}(id)
-			}
-			// Participant 0 arrives only after the queue is empty, so the
-			// release provably happens after the waiters did the work.
-			for w.ran.Load() < jobs {
-				runtime.Gosched()
-			}
-			b.WaitWork(0, w)
-			wg.Wait()
-			if got := w.ran.Load(); got != jobs {
-				t.Errorf("%v n=%d: ran %d work items, want %d", kind, n, got, jobs)
-			}
+	for _, n := range []int{2, 4} {
+		b := NewDissemination(n, icv.PolicyAuto)
+		w := &queueWork{}
+		const jobs = 32
+		for i := 0; i < jobs; i++ {
+			w.add(func() {})
+		}
+		var wg sync.WaitGroup
+		for id := 1; id < n; id++ {
+			wg.Add(1)
+			go func(id int) {
+				defer wg.Done()
+				b.WaitWork(id, w)
+			}(id)
+		}
+		// Participant 0 arrives only after the queue is empty, so the
+		// release provably happens after the waiters did the work.
+		for w.ran.Load() < jobs {
+			runtime.Gosched()
+		}
+		b.WaitWork(0, w)
+		wg.Wait()
+		if got := w.ran.Load(); got != jobs {
+			t.Errorf("n=%d: ran %d work items, want %d", n, got, jobs)
 		}
 	}
 }
@@ -247,42 +196,37 @@ func TestWaitWorkExecutesWhileWaiting(t *testing.T) {
 // TestWaitWorkNilIsWait asserts the nil-work degenerate case still
 // synchronises (it is what Wait delegates to).
 func TestWaitWorkNilIsWait(t *testing.T) {
-	for _, kind := range kinds {
-		b := New(kind, 3, icv.PolicyAuto)
-		checkPhases(t, b, 3, 50)
-	}
+	checkPhases(t, NewDissemination(3, icv.PolicyAuto), 3, 50)
 }
 
 // TestWaitWorkSpawningWork asserts work executed inside the wait may add
 // more work (tasks spawning tasks at a barrier) without wedging release.
 func TestWaitWorkSpawningWork(t *testing.T) {
-	for _, kind := range kinds {
-		b := New(kind, 2, icv.PolicyAuto)
-		w := &queueWork{}
-		var chain atomic.Int64
-		var spawn func(depth int) func()
-		spawn = func(depth int) func() {
-			return func() {
-				chain.Add(1)
-				if depth > 0 {
-					w.add(spawn(depth - 1))
-				}
+	b := NewDissemination(2, icv.PolicyAuto)
+	w := &queueWork{}
+	var chain atomic.Int64
+	var spawn func(depth int) func()
+	spawn = func(depth int) func() {
+		return func() {
+			chain.Add(1)
+			if depth > 0 {
+				w.add(spawn(depth - 1))
 			}
 		}
-		w.add(spawn(16))
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			b.WaitWork(1, w)
-		}()
-		for chain.Load() < 17 {
-			runtime.Gosched()
-		}
-		b.WaitWork(0, w)
-		wg.Wait()
-		if chain.Load() != 17 {
-			t.Errorf("%v: chain ran %d links, want 17", kind, chain.Load())
-		}
+	}
+	w.add(spawn(16))
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		b.WaitWork(1, w)
+	}()
+	for chain.Load() < 17 {
+		runtime.Gosched()
+	}
+	b.WaitWork(0, w)
+	wg.Wait()
+	if chain.Load() != 17 {
+		t.Errorf("chain ran %d links, want 17", chain.Load())
 	}
 }

@@ -8,7 +8,7 @@ import (
 	"repro/internal/icv"
 )
 
-// Waiting strategy shared by the barrier algorithms.
+// Waiting strategy of the barrier, shared with the kmp door wait.
 //
 // libomp waits on futexes with a spin prologue controlled by KMP_BLOCKTIME /
 // OMP_WAIT_POLICY. Goroutines have no futex, but the same three-stage shape
@@ -65,33 +65,10 @@ func spinBudget(policy icv.WaitPolicy) int {
 	return activeSpins
 }
 
-// waitU32 blocks until *v == want. A non-nil w is polled for deferred work
-// between checks (the barrier-as-task-scheduling-point behaviour); doing
-// work resets the backoff escalation, since fresh work usually means more is
-// coming and the release is being computed by a peer.
-func waitU32(v *atomic.Uint32, want uint32, policy icv.WaitPolicy, w Work, id int) {
-	for i := spinBudget(policy); i > 0; i-- {
-		if v.Load() == want {
-			return
-		}
-	}
-	for i := 0; ; i++ {
-		if v.Load() == want {
-			return
-		}
-		if w != nil && w.RunOne(id) {
-			i = 0
-			continue
-		}
-		if policy == icv.PolicyActive || i < YieldRounds {
-			runtime.Gosched()
-			continue
-		}
-		SleepBackoff(i - YieldRounds)
-	}
-}
-
-// spinInt64 blocks until *v >= want, polling w like waitU32 does.
+// spinInt64 blocks until *v >= want. A non-nil w is polled for deferred
+// work between checks (the barrier-as-task-scheduling-point behaviour);
+// doing work resets the backoff escalation, since fresh work usually means
+// more is coming and the release is being computed by a peer.
 func spinInt64(v *atomic.Int64, want int64, policy icv.WaitPolicy, w Work, id int) {
 	for i := spinBudget(policy); i > 0; i-- {
 		if v.Load() >= want {

@@ -6,8 +6,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/barrier"
 )
 
 // TestHotTeamSlotStability pins the property threadprivate relies on: with
@@ -108,22 +106,6 @@ func TestHotTeamNestedReuse(t *testing.T) {
 	}
 	if p.LiveWorkers() != created {
 		t.Errorf("nested reuse churned workers: %d -> %d", created, p.LiveWorkers())
-	}
-}
-
-// TestHotTeamBarrierKindChange: changing the barrier algorithm between
-// regions must rebuild the team rather than reuse one with the old barrier.
-func TestHotTeamBarrierKindChange(t *testing.T) {
-	p := NewPool(fixedICVs(4))
-	p.Fork(nil, ForkSpec{}, func(tm *Team, tid int) { tm.Barrier(tid) })
-	p.SetBarrierKind(barrier.CentralKind)
-	var count atomic.Int64
-	p.Fork(nil, ForkSpec{}, func(tm *Team, tid int) {
-		count.Add(1)
-		tm.Barrier(tid)
-	})
-	if count.Load() != 4 {
-		t.Errorf("after barrier-kind change, ran %d members", count.Load())
 	}
 }
 

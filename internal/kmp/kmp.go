@@ -38,8 +38,7 @@ import (
 // Pool is a device-wide thread pool plus the ICVs governing it. The zero
 // value is not usable; call NewPool.
 type Pool struct {
-	icvs        *icv.Set
-	barrierKind barrier.Kind
+	icvs *icv.Set
 
 	// taskExec is the embedding layer's executor for closure-free task
 	// payloads, copied into every team's task pool at construction (see
@@ -166,7 +165,7 @@ func NewPool(icvs *icv.Set) *Pool {
 	if icvs == nil {
 		icvs = icv.Default()
 	}
-	p := &Pool{icvs: icvs, barrierKind: barrier.DisseminationKind}
+	p := &Pool{icvs: icvs}
 	p.initShards(icvs.TeamShards)
 	return p
 }
@@ -178,14 +177,6 @@ func (p *Pool) SetTaskExec(fn task.ExecFunc) { p.taskExec = fn }
 
 // ICVs returns the pool's internal control variables.
 func (p *Pool) ICVs() *icv.Set { return p.icvs }
-
-// SetBarrierKind selects the barrier algorithm used by new teams (the A1
-// ablation toggles this). A cached hot team built with a different kind is
-// dismantled and rebuilt on its next fork.
-func (p *Pool) SetBarrierKind(k barrier.Kind) { p.barrierKind = k }
-
-// BarrierKind returns the barrier algorithm for new teams.
-func (p *Pool) BarrierKind() barrier.Kind { return p.barrierKind }
 
 // worker is a persistent goroutine that executes one microtask per dispatch
 // cycle. While bound to a (possibly cached) team it parks on its door.
@@ -361,8 +352,7 @@ type Team struct {
 	// activeLevel counts those with n > 1 ("active level").
 	level       int
 	activeLevel int
-	bar         barrier.Barrier
-	barKind     barrier.Kind
+	bar         *barrier.Dissemination
 	waitPolicy  icv.WaitPolicy
 	// runSched is run-sched-var as of this region's fork, so every member
 	// resolves schedule(runtime) to the same schedule however the ICV
@@ -612,11 +602,11 @@ func (p *Pool) League(n int, body func(tm *Team, member int)) {
 }
 
 // teamFor returns a ready-to-dispatch team of size n forking from parent,
-// reusing the cached team in slot when its shape (size, barrier kind, wait
-// policy) still matches — the hot-team cache for nested-child and league
-// slots (top-level forks go through the shard table; see topTeamFor). A
-// mismatched cached team (different fork size, ICV change, barrier-kind
-// change) is dismantled and a cold team is built in its place.
+// reusing the cached team in slot when its shape (size, wait policy) still
+// matches — the hot-team cache for nested-child and league slots (top-level
+// forks go through the shard table; see topTeamFor). A mismatched cached
+// team (different fork size, ICV change) is dismantled and a cold team is
+// built in its place.
 func (p *Pool) teamFor(slot *atomic.Pointer[Team], parent *Team, n, level, activeLevel int) *Team {
 	if tm := slot.Swap(nil); tm != nil {
 		if p.matchesShape(tm, n) {
@@ -637,7 +627,6 @@ func (p *Pool) buildTeam(parent *Team, n, level, activeLevel int) *Team {
 		n:           n,
 		level:       level,
 		activeLevel: activeLevel,
-		barKind:     p.barrierKind,
 		waitPolicy:  p.icvs.Wait,
 		tasks:       task.NewPool(n),
 		gtids:       make([]int, n),
@@ -650,7 +639,7 @@ func (p *Pool) buildTeam(parent *Team, n, level, activeLevel int) *Team {
 	tm.tasks.SetGTIDs(tm.gtids)
 	tm.tasks.SetExec(p.taskExec)
 	tm.tasks.SetOwner(tm)
-	tm.bar = barrier.New(p.barrierKind, n, p.icvs.Wait)
+	tm.bar = barrier.NewDissemination(n, p.icvs.Wait)
 	if n > 1 {
 		tm.workers = make([]*worker, n-1)
 		// Acquire in reverse slot order: dismantle releases workers in

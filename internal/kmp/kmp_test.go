@@ -7,7 +7,6 @@ import (
 	"testing"
 	"unsafe"
 
-	"repro/internal/barrier"
 	"repro/internal/icv"
 	"repro/internal/task"
 )
@@ -270,24 +269,6 @@ func TestCancellation(t *testing.T) {
 	})
 	if after.Load() != 0 {
 		t.Errorf("%d threads missed cancellation after barrier", after.Load())
-	}
-}
-
-func TestBarrierKindConfigurable(t *testing.T) {
-	p := NewPool(fixedICVs(4))
-	for _, k := range []barrier.Kind{barrier.CentralKind, barrier.TreeKind, barrier.DisseminationKind} {
-		p.SetBarrierKind(k)
-		if p.BarrierKind() != k {
-			t.Errorf("kind not stored")
-		}
-		var count atomic.Int64
-		p.Fork(nil, ForkSpec{}, func(tm *Team, tid int) {
-			count.Add(1)
-			tm.Barrier(tid)
-		})
-		if count.Load() != 4 {
-			t.Errorf("%v: ran %d members", k, count.Load())
-		}
 	}
 }
 

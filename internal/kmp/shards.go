@@ -137,9 +137,9 @@ func drainShards(p *Pool, ss *shardSet) {
 }
 
 // matchesShape reports whether a cached team can serve a fork of size n
-// under the pool's current barrier kind and wait policy.
+// under the pool's current wait policy.
 func (p *Pool) matchesShape(tm *Team, n int) bool {
-	return tm.n == n && tm.barKind == p.barrierKind && tm.waitPolicy == p.icvs.Wait
+	return tm.n == n && tm.waitPolicy == p.icvs.Wait
 }
 
 // topTeamFor returns a ready team of size n for a top-level fork: the home
@@ -152,8 +152,8 @@ func (p *Pool) topTeamFor(ss *shardSet, hi uintptr, n int) *Team {
 			tm.reset()
 			return tm
 		}
-		// Shape changed under this tenant (new size, ICV or barrier-kind
-		// change): rebuild, exactly as the single-slot cache did.
+		// Shape changed under this tenant (new size or ICV change):
+		// rebuild, exactly as the single-slot cache did.
 		p.dismantle(tm)
 	} else if ss.mask != 0 {
 		if tm := p.stealTeam(ss, hi, n); tm != nil {

@@ -1,5 +1,6 @@
 // Package taskbench holds the task-parallel microbenchmark kernels behind
-// cmd/taskbench, in the shape of the EPCC taskbench / BOTS suites: recursive
+// perfbench's tasks workload and the BenchmarkTasks_* benchmarks, in the
+// shape of the EPCC taskbench / BOTS suites: recursive
 // fibonacci (a binary spawn tree, the classic task-overhead stress),
 // n-queens (an irregular search tree with per-task board copies), and a
 // synthetic unbalanced depth-first tree walk (UTS-style, deterministic via a
