@@ -31,10 +31,10 @@ const allocRuns = 200
 // allocated outside the measurement window.
 func warmForkPath(pool *kmp.Pool, micro func(*kmp.Team, int)) {
 	for i := 0; i < 8; i++ {
-		pool.Fork(nil, kmp.ForkSpec{}, micro)
+		pool.Fork(kmp.ForkSpec{}, micro)
 	}
 	time.Sleep(3 * time.Millisecond)
-	pool.Fork(nil, kmp.ForkSpec{}, micro)
+	pool.Fork(kmp.ForkSpec{}, micro)
 }
 
 func TestSteadyStateForkAllocFree(t *testing.T) {
@@ -45,7 +45,7 @@ func TestSteadyStateForkAllocFree(t *testing.T) {
 		micro := func(tm *kmp.Team, tid int) {}
 		warmForkPath(pool, micro)
 		avg := testing.AllocsPerRun(allocRuns, func() {
-			pool.Fork(nil, kmp.ForkSpec{}, micro)
+			pool.Fork(kmp.ForkSpec{}, micro)
 		})
 		if avg != 0 {
 			t.Errorf("steady-state Fork (n=%d, same-size repeat): %v allocs/op, want 0", n, avg)

@@ -185,7 +185,7 @@ func BenchmarkAblation_ForkJoin_HotTeam(b *testing.B) {
 	n := maxThreads()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pool.Fork(nil, kmp.ForkSpec{NumThreads: n}, func(tm *kmp.Team, tid int) {})
+		pool.Fork(kmp.ForkSpec{NumThreads: n}, func(tm *kmp.Team, tid int) {})
 	}
 }
 
@@ -194,7 +194,7 @@ func BenchmarkAblation_ForkJoin_FreshPool(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pool := kmp.NewPool(nil)
-		pool.Fork(nil, kmp.ForkSpec{NumThreads: n}, func(tm *kmp.Team, tid int) {})
+		pool.Fork(kmp.ForkSpec{NumThreads: n}, func(tm *kmp.Team, tid int) {})
 		b.StopTimer()
 		pool.Shutdown()
 		b.StartTimer()
@@ -294,11 +294,11 @@ func BenchmarkOverhead_Fork(b *testing.B) {
 	s.NumThreads = []int{maxThreads()}
 	pool := kmp.NewPool(s)
 	micro := func(tm *kmp.Team, tid int) {}
-	pool.Fork(nil, kmp.ForkSpec{}, micro) // warm the hot team
+	pool.Fork(kmp.ForkSpec{}, micro) // warm the hot team
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pool.Fork(nil, kmp.ForkSpec{}, micro)
+		pool.Fork(kmp.ForkSpec{}, micro)
 	}
 }
 

@@ -13,13 +13,13 @@ import (
 
 // Multi-tenant conformance storm.
 //
-// The serving path (sharded hot-team pool + thread-budget arbiter) is
+// The serving path (hot-team cache + thread-budget arbiter) is
 // exercised the way the north star uses it: many concurrent goroutines each
 // firing short parallel/for/reduction/task regions. Every region's result is
 // checked against a sequential oracle, and every region shape is
 // size-independent — the arbiter is free to shrink or serialise any team,
 // and correctness must not notice. The sweep varies tenant count, thread
-// budget, shard count and dyn-var; CI additionally runs the whole file
+// budget and dyn-var; CI additionally runs the whole file
 // under -race.
 
 // stormSeed keeps the storm reproducible: a failure report names the config
@@ -110,28 +110,27 @@ func runStorm(t *testing.T, rt *Runtime, tenants, iters int) {
 	}
 }
 
-// TestMultiTenantStorm sweeps the storm over tenant counts, thread budgets,
-// shard counts and dyn-var settings.
+// TestMultiTenantStorm sweeps the storm over tenant counts, thread budgets
+// and dyn-var settings.
 func TestMultiTenantStorm(t *testing.T) {
 	cases := []struct {
-		tenants, iters, teamSize, threadLimit, shards int
-		dynamic                                       bool
+		tenants, iters, teamSize, threadLimit int
+		dynamic                               bool
 	}{
-		{tenants: 100, iters: 6, teamSize: 4, threadLimit: 1 << 20, shards: 0, dynamic: false},
-		{tenants: 100, iters: 6, teamSize: 4, threadLimit: 8, shards: 4, dynamic: true},
-		{tenants: 200, iters: 4, teamSize: 3, threadLimit: 4, shards: 1, dynamic: true},
-		{tenants: 200, iters: 4, teamSize: 2, threadLimit: 2, shards: 16, dynamic: false},
+		{tenants: 100, iters: 6, teamSize: 4, threadLimit: 1 << 20, dynamic: false},
+		{tenants: 100, iters: 6, teamSize: 4, threadLimit: 8, dynamic: true},
+		{tenants: 200, iters: 4, teamSize: 3, threadLimit: 4, dynamic: true},
+		{tenants: 200, iters: 4, teamSize: 2, threadLimit: 2, dynamic: false},
 	}
 	for _, tc := range cases {
 		tc := tc
-		name := fmt.Sprintf("tenants=%d/limit=%d/shards=%d/dyn=%v",
-			tc.tenants, tc.threadLimit, tc.shards, tc.dynamic)
+		name := fmt.Sprintf("tenants=%d/limit=%d/dyn=%v",
+			tc.tenants, tc.threadLimit, tc.dynamic)
 		t.Run(name, func(t *testing.T) {
 			s := icv.Default()
 			s.NumThreads = []int{tc.teamSize}
 			s.ThreadLimit = tc.threadLimit
 			s.Dynamic = tc.dynamic
-			s.TeamShards = tc.shards
 			rt := NewRuntime(s)
 			defer rt.Pool().Shutdown()
 			runStorm(t, rt, tc.tenants, tc.iters)

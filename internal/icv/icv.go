@@ -302,10 +302,6 @@ type Set struct {
 	DefaultDevice int
 	// TargetOffload is target-offload-var (OMP_TARGET_OFFLOAD).
 	TargetOffload OffloadPolicy
-	// TeamShards sizes the hot-team cache shard table of the multi-tenant
-	// fork path (GOMP_TEAM_SHARDS, a GoMP extension): 0 selects one shard
-	// per GOMAXPROCS processor; the kmp layer rounds up to a power of two.
-	TeamShards int
 }
 
 // Default returns the ICV set the spec mandates absent any environment:
@@ -461,14 +457,6 @@ func FromEnv(lookup LookupFunc) (*Set, []error) {
 			fail("OMP_TARGET_OFFLOAD", v, err)
 		} else {
 			s.TargetOffload = p
-		}
-	}
-	if v, ok := lookup("GOMP_TEAM_SHARDS"); ok {
-		n, err := parsePositiveInt(v)
-		if err != nil {
-			fail("GOMP_TEAM_SHARDS", v, err)
-		} else {
-			s.TeamShards = n
 		}
 	}
 	if v, ok := lookup("OMP_DISPLAY_ENV"); ok {

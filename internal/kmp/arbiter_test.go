@@ -112,7 +112,7 @@ func blockedRegion(p *Pool, n int, started, release chan struct{}) chan struct{}
 	go func() {
 		defer close(done)
 		var once sync.Once
-		p.Fork(nil, ForkSpec{NumThreads: n}, func(tm *Team, tid int) {
+		p.Fork(ForkSpec{NumThreads: n}, func(tm *Team, tid int) {
 			once.Do(func() { close(started) })
 			<-release
 		})
@@ -137,7 +137,7 @@ func TestPoolSerializesWhenBudgetExhausted(t *testing.T) {
 	<-started
 
 	sawN := 0
-	p.Fork(nil, ForkSpec{NumThreads: 2}, func(tm *Team, tid int) {
+	p.Fork(ForkSpec{NumThreads: 2}, func(tm *Team, tid int) {
 		sawN = tm.N() // serialised team: only tid 0 runs, no race
 	})
 	if sawN != 1 {
@@ -172,7 +172,7 @@ func TestPoolBoundedWaitNoDeadlock(t *testing.T) {
 	finished := make(chan int, 1)
 	go func() {
 		n := 0
-		p.Fork(nil, ForkSpec{NumThreads: 2}, func(tm *Team, tid int) {
+		p.Fork(ForkSpec{NumThreads: 2}, func(tm *Team, tid int) {
 			if tid == 0 {
 				n = tm.N()
 			}
@@ -211,7 +211,7 @@ func TestPoolBudgetRestoredAfterPanic(t *testing.T) {
 					t.Errorf("round %d: recovered %v, want \"tenant bug\"", round, r)
 				}
 			}()
-			p.Fork(nil, ForkSpec{}, func(tm *Team, tid int) {
+			p.Fork(ForkSpec{}, func(tm *Team, tid int) {
 				if tid == 1 {
 					panic("tenant bug")
 				}
@@ -221,7 +221,7 @@ func TestPoolBudgetRestoredAfterPanic(t *testing.T) {
 
 		// The pool must be fully serviceable after the panic.
 		var mask atomic.Int64
-		p.Fork(nil, ForkSpec{}, func(tm *Team, tid int) {
+		p.Fork(ForkSpec{}, func(tm *Team, tid int) {
 			mask.Or(1 << tid)
 		})
 		if mask.Load() != 0b1111 {
@@ -258,7 +258,7 @@ func TestPoolBudgetRandomInterleavings(t *testing.T) {
 					if mustPanic {
 						defer func() { recover() }()
 					}
-					p.Fork(nil, ForkSpec{NumThreads: n}, func(tm *Team, tid int) {
+					p.Fork(ForkSpec{NumThreads: n}, func(tm *Team, tid int) {
 						if tid == 0 && i%7 == 0 {
 							// Occasionally nest a region from the master.
 							p.ForkFrom(tm, tid, ForkSpec{NumThreads: 2}, func(*Team, int) {})

@@ -55,7 +55,7 @@ func TestDoacrossSinkArityPanics(t *testing.T) {
 func TestDoacrossPostReleasesWait(t *testing.T) {
 	p := NewPool(fixedICVs(2))
 	var order []string
-	p.Fork(nil, ForkSpec{}, func(tm *Team, tid int) {
+	p.Fork(ForkSpec{}, func(tm *Team, tid int) {
 		e := tm.Construct(1)
 		doaInit(e, sched.Loop{Begin: 0, End: 2, Step: 1})
 		if tid == 1 {
@@ -79,7 +79,7 @@ func TestDoacrossPostReleasesWait(t *testing.T) {
 func TestDoacrossWaitReleasedByCancel(t *testing.T) {
 	p := NewPool(fixedICVs(2))
 	var released atomic.Int64
-	p.Fork(nil, ForkSpec{}, func(tm *Team, tid int) {
+	p.Fork(ForkSpec{}, func(tm *Team, tid int) {
 		e := tm.Construct(1)
 		doaInit(e, sched.Loop{Begin: 0, End: 4, Step: 1})
 		if tid == 1 {
@@ -141,7 +141,7 @@ func TestDoacrossPaddingFallback(t *testing.T) {
 func TestOrderedTurnReleasedByCancel(t *testing.T) {
 	p := NewPool(fixedICVs(2))
 	var gaveUp atomic.Int64
-	p.Fork(nil, ForkSpec{}, func(tm *Team, tid int) {
+	p.Fork(ForkSpec{}, func(tm *Team, tid int) {
 		e := tm.Construct(1)
 		if tid == 1 {
 			// Turn 5 can never arrive: nobody finishes turns 0..4.

@@ -14,12 +14,12 @@ import (
 func TestHotTeamSlotStability(t *testing.T) {
 	p := NewPool(fixedICVs(4))
 	var first [4]int
-	p.Fork(nil, ForkSpec{}, func(tm *Team, tid int) {
+	p.Fork(ForkSpec{}, func(tm *Team, tid int) {
 		first[tid] = tm.GTID(tid)
 	})
 	for round := 0; round < 10; round++ {
 		var drift int
-		p.Fork(nil, ForkSpec{}, func(tm *Team, tid int) {
+		p.Fork(ForkSpec{}, func(tm *Team, tid int) {
 			if tm.GTID(tid) != first[tid] {
 				drift++ // executed only by that tid; benign race-free under test
 			}
@@ -33,10 +33,10 @@ func TestHotTeamSlotStability(t *testing.T) {
 // TestHotTeamShrinkGrow: team-size changes reuse the prefix of workers.
 func TestHotTeamShrinkGrow(t *testing.T) {
 	p := NewPool(fixedICVs(4))
-	p.Fork(nil, ForkSpec{NumThreads: 4}, func(*Team, int) {})
+	p.Fork(ForkSpec{NumThreads: 4}, func(*Team, int) {})
 	created := p.LiveWorkers()
-	p.Fork(nil, ForkSpec{NumThreads: 2}, func(*Team, int) {})
-	p.Fork(nil, ForkSpec{NumThreads: 4}, func(*Team, int) {})
+	p.Fork(ForkSpec{NumThreads: 2}, func(*Team, int) {})
+	p.Fork(ForkSpec{NumThreads: 4}, func(*Team, int) {})
 	if p.LiveWorkers() != created {
 		t.Errorf("shrink/grow churned workers: %d -> %d", created, p.LiveWorkers())
 	}
@@ -49,7 +49,7 @@ func TestHotTeamAlternatingSizes(t *testing.T) {
 	p := NewPool(fixedICVs(4))
 	for round, n := range []int{4, 2, 4, 2, 4, 1, 4, 3, 4} {
 		var mask atomic.Int64
-		p.Fork(nil, ForkSpec{NumThreads: n}, func(tm *Team, tid int) {
+		p.Fork(ForkSpec{NumThreads: n}, func(tm *Team, tid int) {
 			if tm.N() != n {
 				t.Errorf("round %d: team size %d, want %d", round, tm.N(), n)
 			}
@@ -66,10 +66,10 @@ func TestHotTeamAlternatingSizes(t *testing.T) {
 func TestHotTeamICVNumThreadsChange(t *testing.T) {
 	icvs := fixedICVs(4)
 	p := NewPool(icvs)
-	p.Fork(nil, ForkSpec{}, func(tm *Team, tid int) {})
+	p.Fork(ForkSpec{}, func(tm *Team, tid int) {})
 	icvs.NumThreads = []int{2}
 	var n atomic.Int64
-	p.Fork(nil, ForkSpec{}, func(tm *Team, tid int) {
+	p.Fork(ForkSpec{}, func(tm *Team, tid int) {
 		if tid == 0 {
 			n.Store(int64(tm.N()))
 		}
@@ -87,8 +87,8 @@ func TestHotTeamNestedReuse(t *testing.T) {
 	p := NewPool(icvs)
 	var inner atomic.Int64
 	run := func() {
-		p.Fork(nil, ForkSpec{}, func(outer *Team, otid int) {
-			p.Fork(outer, ForkSpec{NumThreads: 2}, func(in *Team, itid int) {
+		p.Fork(ForkSpec{}, func(outer *Team, otid int) {
+			p.ForkFrom(outer, otid, ForkSpec{NumThreads: 2}, func(in *Team, itid int) {
 				inner.Add(1)
 				if in.Level() != 2 || in.Parent() != outer {
 					t.Error("nested team misparented after reuse")
@@ -113,14 +113,14 @@ func TestHotTeamNestedReuse(t *testing.T) {
 // the next region on the reused team.
 func TestHotTeamCancellationCleared(t *testing.T) {
 	p := NewPool(fixedICVs(4))
-	p.Fork(nil, ForkSpec{}, func(tm *Team, tid int) {
+	p.Fork(ForkSpec{}, func(tm *Team, tid int) {
 		if tid == 0 {
 			tm.Cancel()
 		}
 		tm.Barrier(tid)
 	})
 	var stale atomic.Int64
-	p.Fork(nil, ForkSpec{}, func(tm *Team, tid int) {
+	p.Fork(ForkSpec{}, func(tm *Team, tid int) {
 		if tm.Cancelled() {
 			stale.Add(1)
 		}
@@ -137,7 +137,7 @@ func TestHotTeamConstructStateCleared(t *testing.T) {
 	p := NewPool(fixedICVs(4))
 	for region := 0; region < 3; region++ {
 		var winners atomic.Int64
-		p.Fork(nil, ForkSpec{}, func(tm *Team, tid int) {
+		p.Fork(ForkSpec{}, func(tm *Team, tid int) {
 			for seq := int64(1); seq <= 2*wsRingSize; seq++ {
 				e := tm.Construct(seq)
 				if e.TrySingle() {
@@ -190,11 +190,11 @@ func TestLeagueSizeThreadLimit(t *testing.T) {
 // hot team or vice versa.
 func TestLeagueAndForkCachesIndependent(t *testing.T) {
 	p := NewPool(fixedICVs(2))
-	p.Fork(nil, ForkSpec{}, func(*Team, int) {})
+	p.Fork(ForkSpec{}, func(*Team, int) {})
 	p.League(3, func(*Team, int) {})
 	created := p.LiveWorkers()
 	for i := 0; i < 5; i++ {
-		p.Fork(nil, ForkSpec{}, func(*Team, int) {})
+		p.Fork(ForkSpec{}, func(*Team, int) {})
 		p.League(3, func(*Team, int) {})
 	}
 	if p.LiveWorkers() != created {
@@ -210,12 +210,12 @@ func TestSerialRegionsDontEvictHotTeam(t *testing.T) {
 	p := NewPool(fixedICVs(4))
 	micro := func(*Team, int) {}
 	for i := 0; i < 4; i++ {
-		p.Fork(nil, ForkSpec{Serial: true}, micro)
-		p.Fork(nil, ForkSpec{}, micro)
+		p.Fork(ForkSpec{Serial: true}, micro)
+		p.Fork(ForkSpec{}, micro)
 	}
 	avg := testing.AllocsPerRun(50, func() {
-		p.Fork(nil, ForkSpec{Serial: true}, micro)
-		p.Fork(nil, ForkSpec{}, micro)
+		p.Fork(ForkSpec{Serial: true}, micro)
+		p.Fork(ForkSpec{}, micro)
 	})
 	if avg != 0 {
 		t.Errorf("alternating serial/parallel forks: %v allocs/op, want 0 (eviction?)", avg)
@@ -231,7 +231,7 @@ func TestPerMemberNestedCaches(t *testing.T) {
 	icvs.MaxActiveLevels = 2
 	p := NewPool(icvs)
 	run := func() {
-		p.Fork(nil, ForkSpec{}, func(outer *Team, otid int) {
+		p.Fork(ForkSpec{}, func(outer *Team, otid int) {
 			p.ForkFrom(outer, otid, ForkSpec{NumThreads: 2}, func(*Team, int) {})
 		})
 	}
@@ -255,12 +255,12 @@ func TestPerMemberNestedCaches(t *testing.T) {
 // releasable by the next fork (the wake-channel hand-off).
 func TestWorkersWakeAfterBlocking(t *testing.T) {
 	p := NewPool(fixedICVs(4))
-	p.Fork(nil, ForkSpec{}, func(*Team, int) {})
+	p.Fork(ForkSpec{}, func(*Team, int) {})
 	// The sleep backoff saturates after ~6ms; well past that, workers are
 	// blocked on their wake channels.
 	time.Sleep(50 * time.Millisecond)
 	var mask atomic.Int64
-	p.Fork(nil, ForkSpec{}, func(tm *Team, tid int) {
+	p.Fork(ForkSpec{}, func(tm *Team, tid int) {
 		mask.Or(1 << tid)
 	})
 	if mask.Load() != 0b1111 {
@@ -289,42 +289,22 @@ func TestTeamSizeNeverExceedsLimitProperty(t *testing.T) {
 	}
 }
 
-// --- Sharded hot-team pool ------------------------------------------------
+// --- Concurrent forks on the hot-team cache ------------------------------
 //
-// The tests below pin the multi-tenant invariants of the shard table: a
+// The tests below pin the multi-tenant invariants of the slot protocol: a
 // cached team is handed to exactly one forker (never stale, never doubly
-// claimed), shape changes invalidate per-tenant without poisoning siblings,
-// steals keep the worker set bounded, and resizing drains the old table.
+// claimed), shape changes invalidate without poisoning concurrent forkers,
+// and forks from fresh goroutines reuse the cached team.
 
-// TestShardTableSizing: the table rounds up to a power of two, clamps to
-// [1, maxTeamShards], and sizes from GOMAXPROCS when asked for auto.
-func TestShardTableSizing(t *testing.T) {
-	p := NewPool(fixedICVs(2))
-	for _, tc := range []struct{ req, want int }{
-		{1, 1}, {2, 2}, {3, 4}, {5, 8}, {64, 64}, {100, 64},
-	} {
-		p.SetShards(tc.req)
-		if got := p.Shards(); got != tc.want {
-			t.Errorf("SetShards(%d): %d shards, want %d", tc.req, got, tc.want)
-		}
-	}
-	p.SetShards(0) // auto
-	if got := p.Shards(); got < 1 || got&(got-1) != 0 {
-		t.Errorf("auto shards = %d, want a positive power of two", got)
-	}
-	p.Shutdown()
-}
-
-// TestShardConcurrentForksNeverShareATeam: a crowd of tenants forking
-// concurrently across the shard table must each get a private, correctly
-// sized team every time. A stale team would fail the size check; a doubly
-// claimed team would trip the running guard in runTeam (loud panic).
-func TestShardConcurrentForksNeverShareATeam(t *testing.T) {
+// TestHotTeamConcurrentForksNeverShareATeam: a crowd of tenants forking
+// concurrently must each get a private, correctly sized team every time. A
+// stale team would fail the size check; a doubly claimed team would trip the
+// running guard in runTeam (loud panic).
+func TestHotTeamConcurrentForksNeverShareATeam(t *testing.T) {
 	icvs := fixedICVs(4)
 	icvs.Dynamic = true // shrink under load rather than wait: more reuse churn
 	p := NewPool(icvs)
 	defer p.Shutdown()
-	p.SetShards(4)
 
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
@@ -334,7 +314,7 @@ func TestShardConcurrentForksNeverShareATeam(t *testing.T) {
 			for i := 0; i < 60; i++ {
 				n := 2 + (g+i)%3 // sizes 2..4, phase-shifted per tenant
 				var mask atomic.Int64
-				p.Fork(nil, ForkSpec{NumThreads: n}, func(tm *Team, tid int) {
+				p.Fork(ForkSpec{NumThreads: n}, func(tm *Team, tid int) {
 					if tm.N() > n {
 						t.Errorf("asked for %d, got team of %d", n, tm.N())
 					}
@@ -355,17 +335,15 @@ func TestShardConcurrentForksNeverShareATeam(t *testing.T) {
 	}
 }
 
-// TestShardStealKeepsWorkerSetBounded: with one warm team in the table,
-// sequential forks from many distinct goroutines (distinct stacks, so
-// varying home shards) must always find it — by home hit or cross-shard
-// steal — and never build a second team. LiveWorkers staying flat is the
-// proof; a single cold build would bind three more workers permanently.
-func TestShardStealKeepsWorkerSetBounded(t *testing.T) {
+// TestHotTeamFreshGoroutinesKeepWorkerSetBounded: with one warm team
+// cached, sequential forks from many distinct goroutines must always find
+// it and never build a second team. LiveWorkers staying flat is the proof; a
+// single cold build would bind three more workers permanently.
+func TestHotTeamFreshGoroutinesKeepWorkerSetBounded(t *testing.T) {
 	p := NewPool(fixedICVs(4))
 	defer p.Shutdown()
-	p.SetShards(8)
 
-	p.Fork(nil, ForkSpec{}, func(*Team, int) {}) // warm one team
+	p.Fork(ForkSpec{}, func(*Team, int) {}) // warm one team
 	warm := p.LiveWorkers()
 	if warm != 3 {
 		t.Fatalf("warm LiveWorkers = %d, want 3", warm)
@@ -375,7 +353,7 @@ func TestShardStealKeepsWorkerSetBounded(t *testing.T) {
 		go func() {
 			defer close(done)
 			var mask atomic.Int64
-			p.Fork(nil, ForkSpec{}, func(tm *Team, tid int) {
+			p.Fork(ForkSpec{}, func(tm *Team, tid int) {
 				mask.Or(1 << tid)
 			})
 			if mask.Load() != 0b1111 {
@@ -384,22 +362,20 @@ func TestShardStealKeepsWorkerSetBounded(t *testing.T) {
 		}()
 		<-done
 		if live := p.LiveWorkers(); live != warm {
-			t.Fatalf("fork %d from fresh goroutine built a cold team: LiveWorkers %d, want %d (steals so far: %d)",
-				i, live, warm, p.ShardSteals())
+			t.Fatalf("fork %d from fresh goroutine built a cold team: LiveWorkers %d, want %d",
+				i, live, warm)
 		}
 	}
-	t.Logf("served 64 single-tenant forks with %d cross-shard steals", p.ShardSteals())
 }
 
-// TestShardICVChangeInvalidatesPerTenant: tenants fork default-sized
+// TestHotTeamICVChangeInvalidatesPerTenant: tenants fork default-sized
 // regions while nthreads-var is republished concurrently. Every region must
 // see a coherent size — one of the published values, never a torn or stale
 // intermediate — and run exactly that many members.
-func TestShardICVChangeInvalidatesPerTenant(t *testing.T) {
+func TestHotTeamICVChangeInvalidatesPerTenant(t *testing.T) {
 	icvs := fixedICVs(4)
 	p := NewPool(icvs)
 	defer p.Shutdown()
-	p.SetShards(4)
 
 	stop := make(chan struct{})
 	var flips sync.WaitGroup
@@ -426,7 +402,7 @@ func TestShardICVChangeInvalidatesPerTenant(t *testing.T) {
 			for i := 0; i < 80; i++ {
 				var mask atomic.Int64
 				var size atomic.Int64
-				p.Fork(nil, ForkSpec{}, func(tm *Team, tid int) {
+				p.Fork(ForkSpec{}, func(tm *Team, tid int) {
 					size.Store(int64(tm.N()))
 					mask.Or(1 << tid)
 				})
@@ -446,15 +422,14 @@ func TestShardICVChangeInvalidatesPerTenant(t *testing.T) {
 	p.WaitQuiescent()
 }
 
-// TestShardNestedForksAcrossShards: tenants on different shards each fork
-// nested regions concurrently; nested caches are per parent member, so the
-// storm must never cross-wire a nested team either.
-func TestShardNestedForksAcrossShards(t *testing.T) {
+// TestHotTeamNestedForksUnderStorm: concurrent tenants each fork nested
+// regions; nested caches are per parent member, so the storm must never
+// cross-wire a nested team either.
+func TestHotTeamNestedForksUnderStorm(t *testing.T) {
 	icvs := fixedICVs(2)
 	icvs.MaxActiveLevels = 2
 	p := NewPool(icvs)
 	defer p.Shutdown()
-	p.SetShards(4)
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -463,7 +438,7 @@ func TestShardNestedForksAcrossShards(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 30; i++ {
 				var inner atomic.Int64
-				p.Fork(nil, ForkSpec{NumThreads: 2}, func(tm *Team, tid int) {
+				p.Fork(ForkSpec{NumThreads: 2}, func(tm *Team, tid int) {
 					p.ForkFrom(tm, tid, ForkSpec{NumThreads: 2}, func(nt *Team, ntid int) {
 						inner.Add(1)
 					})
@@ -481,28 +456,5 @@ func TestShardNestedForksAcrossShards(t *testing.T) {
 	p.WaitQuiescent()
 	if used := p.ThreadBudgetUsed(); used != 0 {
 		t.Errorf("budget after nested storm = %d, want 0", used)
-	}
-}
-
-// TestSetShardsDrainsOldTable: resizing on a quiescent pool dismantles the
-// cached teams of the retired table (their workers return to the free
-// list) and the new table serves forks immediately.
-func TestSetShardsDrainsOldTable(t *testing.T) {
-	p := NewPool(fixedICVs(4))
-	p.SetShards(4)
-	p.Fork(nil, ForkSpec{}, func(*Team, int) {})
-	p.WaitQuiescent()
-
-	p.SetShards(1)
-	var mask atomic.Int64
-	p.Fork(nil, ForkSpec{}, func(tm *Team, tid int) {
-		mask.Or(1 << tid)
-	})
-	if mask.Load() != 0b1111 {
-		t.Errorf("post-resize fork mask = %b, want 1111", mask.Load())
-	}
-	p.Shutdown()
-	if p.LiveWorkers() != 0 {
-		t.Errorf("LiveWorkers after shutdown = %d, want 0 (resize leaked a team)", p.LiveWorkers())
 	}
 }

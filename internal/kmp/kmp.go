@@ -50,15 +50,14 @@ type Pool struct {
 	next atomic.Int64
 	live atomic.Int64 // workers alive (thread-limit accounting)
 
-	// shards is the sharded top-level hot-team cache (see shards.go):
-	// per-shard parallel+serial slots indexed by a goroutine-affinity hash,
-	// with cross-shard stealing on miss, so concurrent forks from unrelated
-	// goroutines stop serialising on one slot. hotLeague caches the last
-	// teams-construct league. A slot is claimed by Swap and reinstalled by
-	// CAS, so concurrent forks race safely: the loser builds a cold team.
-	shards      atomic.Pointer[shardSet]
-	shardSteals atomic.Int64
-	hotLeague   atomic.Pointer[Team]
+	// top is the top-level hot-team cache: one parallel and one serial
+	// slot, indexed by childSlot(0, n) like a team's nested cache, so a
+	// program alternating if(false) and parallel regions does not evict its
+	// own hot team. hotLeague caches the last teams-construct league. A
+	// slot is claimed by Swap and reinstalled by CAS, so concurrent forks
+	// race safely: the loser builds a cold team and dismantles it at join.
+	top       [2]atomic.Pointer[Team]
+	hotLeague atomic.Pointer[Team]
 
 	// budget is the thread-budget arbiter charging every active region's
 	// extra threads against thread-limit-var (see arbiter.go).
@@ -165,9 +164,7 @@ func NewPool(icvs *icv.Set) *Pool {
 	if icvs == nil {
 		icvs = icv.Default()
 	}
-	p := &Pool{icvs: icvs}
-	p.initShards(icvs.TeamShards)
-	return p
+	return &Pool{icvs: icvs}
 }
 
 // SetTaskExec installs the executor run for tasks spawned with a nil fn
@@ -495,73 +492,63 @@ func teamSize(fv *forkVars, parent *Team, spec ForkSpec) int {
 	return n
 }
 
-// Fork runs micro(team, tid) on a team of TeamSize threads and joins them.
-// The caller participates as tid 0; the call returns when every team member
-// has finished (the implicit join — OpenMP's implicit *barrier* at region
-// end is the join itself: the master's region-end barrier wait releases only
-// once all members have arrived).
+// Fork runs micro(team, tid) on a top-level team of TeamSize threads and
+// joins them. The caller participates as tid 0; the call returns when every
+// team member has finished (the implicit join — OpenMP's implicit *barrier*
+// at region end is the join itself: the master's region-end barrier wait
+// releases only once all members have arrived).
 //
 // In the steady state — a fork whose resolved size matches the cached hot
 // team — Fork allocates nothing and takes no locks: one atomic Swap claims
 // the team, per-worker epoch bumps dispatch it, and one CAS reinstalls it.
-func (p *Pool) Fork(parent *Team, spec ForkSpec, micro func(tm *Team, tid int)) {
-	p.ForkFrom(parent, 0, spec, micro)
+func (p *Pool) Fork(spec ForkSpec, micro func(tm *Team, tid int)) {
+	p.ForkFrom(nil, 0, spec, micro)
 }
 
-// ForkFrom is Fork with the forking member's tid in the parent team made
-// explicit, which keys the nested hot-team cache: sibling members forking
+// ForkFrom forks a region from member ptid of parent, or a top-level region
+// when parent is nil. The forking member keys the hot-team cache: a nested
+// fork uses ptid's own slots on the parent, so sibling members forking
 // nested regions concurrently each reuse their own cached team instead of
-// contending for one slot. Fork(parent, ...) is ForkFrom(parent, 0, ...).
+// contending for one slot; a top-level fork uses the pool's slot pair.
 func (p *Pool) ForkFrom(parent *Team, ptid int, spec ForkSpec, micro func(tm *Team, tid int)) {
 	fv := p.forkSnapshot()
 	n := p.admitTeam(teamSize(&fv, parent, spec))
+	level, activeLevel, gtid := 1, 0, 0
+	slot := &p.top[childSlot(0, n)]
+	if parent != nil {
+		level, activeLevel, gtid = parent.level+1, parent.activeLevel, parent.GTID(ptid)
+		slot = &parent.children[childSlot(ptid, n)]
+	}
+	if n > 1 {
+		activeLevel++
+	}
 	if trace.Enabled() {
-		gtid := 0
-		if parent != nil {
-			gtid = parent.GTID(ptid)
-		}
 		trace.Emit(trace.EvRegionFork, gtid, int64(n))
 		defer trace.Emit(trace.EvRegionJoin, gtid, int64(n))
 	}
-	if parent != nil {
-		level, activeLevel := parent.level+1, parent.activeLevel
-		if n > 1 {
-			activeLevel++
-		}
-		slot := &parent.children[childSlot(ptid, n)]
-		tm := p.teamFor(slot, parent, n, level, activeLevel)
-		tm.runSched = fv.runSched
-		// The epilogue is deferred so a region-body panic rethrown by
-		// runTeam still reinstalls the (fully joined) team and returns the
-		// granted threads to the budget — exact release on every path.
-		defer p.forkEpilogue(slot, tm, n)
-		p.runTeam(tm, micro)
-		return
-	}
-	ss := p.shards.Load()
-	hi := ss.homeIndex()
-	tm := p.topTeamFor(ss, hi, n)
+	tm := p.teamFor(slot, parent, n, level, activeLevel)
 	tm.runSched = fv.runSched
-	defer p.topEpilogue(ss, hi, tm, n)
+	// The epilogue is deferred so a region-body panic rethrown by runTeam
+	// still reinstalls the (fully joined) team and returns the granted
+	// threads to the budget — exact release on every path.
+	defer p.forkEpilogue(slot, tm, n)
 	p.runTeam(tm, micro)
 }
 
-// forkEpilogue reinstalls a joined nested/league team into its cache slot
-// and releases its budget grant. Runs deferred, panic path included.
+// forkEpilogue reinstalls a joined team into its cache slot and releases
+// its budget grant. Runs deferred, panic path included.
 func (p *Pool) forkEpilogue(slot *atomic.Pointer[Team], tm *Team, granted int) {
 	p.reinstall(slot, tm)
 	p.budget.release(granted)
 }
 
-// topEpilogue is forkEpilogue for top-level teams, which reinstall through
-// the shard table.
-func (p *Pool) topEpilogue(ss *shardSet, hi uintptr, tm *Team, granted int) {
-	p.reinstallTop(ss, hi, tm)
-	p.budget.release(granted)
-}
+// ShardSteals always returns 0: the top-level cache is one slot pair, so no
+// fork takes a team from another slot. It remains because perfbench's
+// tracer still reports it as kmp.shard_steals.
+func (p *Pool) ShardSteals() int64 { return 0 }
 
-// childSlot maps a forking member and resolved team size to the parent's
-// nested-cache slot index.
+// childSlot maps a forking member and resolved team size to its cache slot
+// index in a parent's nested cache (ptid 0 also indexes Pool.top).
 func childSlot(ptid, n int) int {
 	i := 2 * ptid
 	if n == 1 {
@@ -603,10 +590,9 @@ func (p *Pool) League(n int, body func(tm *Team, member int)) {
 
 // teamFor returns a ready-to-dispatch team of size n forking from parent,
 // reusing the cached team in slot when its shape (size, wait policy) still
-// matches — the hot-team cache for nested-child and league slots (top-level
-// forks go through the shard table; see topTeamFor). A mismatched cached
-// team (different fork size, ICV change) is dismantled and a cold team is
-// built in its place.
+// matches — the hot-team cache for top-level, nested and league slots alike.
+// A mismatched cached team (different fork size, ICV change) is dismantled
+// and a cold team is built in its place.
 func (p *Pool) teamFor(slot *atomic.Pointer[Team], parent *Team, n, level, activeLevel int) *Team {
 	if tm := slot.Swap(nil); tm != nil {
 		if p.matchesShape(tm, n) {
@@ -616,6 +602,12 @@ func (p *Pool) teamFor(slot *atomic.Pointer[Team], parent *Team, n, level, activ
 		p.dismantle(tm)
 	}
 	return p.buildTeam(parent, n, level, activeLevel)
+}
+
+// matchesShape reports whether a cached team can serve a fork of size n
+// under the pool's current wait policy.
+func (p *Pool) matchesShape(tm *Team, n int) bool {
+	return tm.n == n && tm.waitPolicy == p.icvs.Wait
 }
 
 // buildTeam constructs a cold team, binding n-1 workers to its slots.
@@ -638,6 +630,7 @@ func (p *Pool) buildTeam(parent *Team, n, level, activeLevel int) *Team {
 	tm.red = [2][]RedSlot{red[:n:n], red[n:]}
 	tm.tasks.SetGTIDs(tm.gtids)
 	tm.tasks.SetExec(p.taskExec)
+	tm.tasks.SetOnPanic(tm.recordPanic)
 	tm.tasks.SetOwner(tm)
 	tm.bar = barrier.NewDissemination(n, p.icvs.Wait)
 	if n > 1 {
@@ -695,11 +688,17 @@ func (tm *Team) invoke(tid int) { tm.invokeMicro(tid, tm.micro) }
 func (tm *Team) invokeMicro(tid int, micro func(tm *Team, tid int)) {
 	defer func() {
 		if r := recover(); r != nil {
-			tm.panicVal.CompareAndSwap(nil, &regionPanic{val: r})
-			tm.cancelled.Store(true)
+			tm.recordPanic(r)
 		}
 	}()
 	micro(tm, tid)
+}
+
+// recordPanic keeps the first panic recovered from a member's region body
+// or an explicit task body for rethrow at the join, and cancels the region.
+func (tm *Team) recordPanic(r any) {
+	tm.panicVal.CompareAndSwap(nil, &regionPanic{val: r})
+	tm.cancelled.Store(true)
 }
 
 // rethrow re-panics on the master with the first region-body panic, if any.
@@ -774,20 +773,18 @@ func (p *Pool) dismantle(tm *Team) {
 // need to observe a fully settled runtime (tests, trace collectors) wait
 // here.
 func (p *Pool) WaitQuiescent() {
-	ss := p.shards.Load()
-	for i := range ss.slots {
-		s := &ss.slots[i]
-		for _, slot := range [...]*atomic.Pointer[Team]{&s.parallel, &s.serial} {
-			if tm := slot.Swap(nil); tm != nil {
-				awaitTeamDone(tm)
-				p.reinstall(slot, tm)
-			}
+	for _, slot := range p.slots() {
+		if tm := slot.Swap(nil); tm != nil {
+			awaitTeamDone(tm)
+			p.reinstall(slot, tm)
 		}
 	}
-	if tm := p.hotLeague.Swap(nil); tm != nil {
-		awaitTeamDone(tm)
-		p.reinstall(&p.hotLeague, tm)
-	}
+}
+
+// slots lists the pool's top-level cache slots: the parallel/serial pair
+// and the league.
+func (p *Pool) slots() [3]*atomic.Pointer[Team] {
+	return [...]*atomic.Pointer[Team]{&p.top[0], &p.top[1], &p.hotLeague}
 }
 
 // awaitTeamDone waits for a team's workers (and its cached nested teams')
@@ -807,9 +804,10 @@ func awaitTeamDone(tm *Team) {
 // tests that count goroutines; a process normally keeps its pool for its
 // lifetime, as libomp does.
 func (p *Pool) Shutdown() {
-	drainShards(p, p.shards.Load())
-	if tm := p.hotLeague.Swap(nil); tm != nil {
-		p.dismantle(tm)
+	for _, slot := range p.slots() {
+		if tm := slot.Swap(nil); tm != nil {
+			p.dismantle(tm)
+		}
 	}
 	p.mu.Lock()
 	free := p.free

@@ -20,7 +20,7 @@ func fixedICVs(n int) *icv.Set {
 func TestForkRunsAllMembers(t *testing.T) {
 	p := NewPool(fixedICVs(4))
 	var mask atomic.Int64
-	p.Fork(nil, ForkSpec{}, func(tm *Team, tid int) {
+	p.Fork(ForkSpec{}, func(tm *Team, tid int) {
 		mask.Or(1 << tid)
 		if tm.N() != 4 {
 			t.Errorf("team size %d", tm.N())
@@ -35,7 +35,7 @@ func TestMasterIsMemberZero(t *testing.T) {
 	p := NewPool(fixedICVs(4))
 	var masterGTID atomic.Int64
 	masterGTID.Store(-1)
-	p.Fork(nil, ForkSpec{}, func(tm *Team, tid int) {
+	p.Fork(ForkSpec{}, func(tm *Team, tid int) {
 		if tid == 0 {
 			masterGTID.Store(int64(tm.GTID(0)))
 		}
@@ -74,7 +74,7 @@ func TestTeamSizeRules(t *testing.T) {
 func TestSerialisedRegionRunsInline(t *testing.T) {
 	p := NewPool(fixedICVs(4))
 	ran := false
-	p.Fork(nil, ForkSpec{Serial: true}, func(tm *Team, tid int) {
+	p.Fork(ForkSpec{Serial: true}, func(tm *Team, tid int) {
 		ran = tid == 0 && tm.N() == 1 // plain write: inline means same goroutine
 	})
 	if !ran {
@@ -87,8 +87,8 @@ func TestNestedFork(t *testing.T) {
 	icvs.MaxActiveLevels = 2
 	p := NewPool(icvs)
 	var innerCount atomic.Int64
-	p.Fork(nil, ForkSpec{}, func(outer *Team, otid int) {
-		p.Fork(outer, ForkSpec{NumThreads: 3}, func(inner *Team, itid int) {
+	p.Fork(ForkSpec{}, func(outer *Team, otid int) {
+		p.ForkFrom(outer, otid, ForkSpec{NumThreads: 3}, func(inner *Team, itid int) {
 			innerCount.Add(1)
 			if inner.Level() != 2 {
 				t.Errorf("inner level = %d", inner.Level())
@@ -105,10 +105,10 @@ func TestNestedFork(t *testing.T) {
 
 func TestHotTeamReuse(t *testing.T) {
 	p := NewPool(fixedICVs(4))
-	p.Fork(nil, ForkSpec{}, func(*Team, int) {})
+	p.Fork(ForkSpec{}, func(*Team, int) {})
 	created := p.LiveWorkers()
 	for i := 0; i < 10; i++ {
-		p.Fork(nil, ForkSpec{}, func(*Team, int) {})
+		p.Fork(ForkSpec{}, func(*Team, int) {})
 	}
 	if p.LiveWorkers() != created {
 		t.Errorf("workers grew from %d to %d across identical forks", created, p.LiveWorkers())
@@ -127,7 +127,7 @@ func TestHotTeamReuse(t *testing.T) {
 func TestTeamBarrierSynchronises(t *testing.T) {
 	p := NewPool(fixedICVs(4))
 	var before, violations atomic.Int64
-	p.Fork(nil, ForkSpec{}, func(tm *Team, tid int) {
+	p.Fork(ForkSpec{}, func(tm *Team, tid int) {
 		before.Add(1)
 		tm.Barrier(tid)
 		if before.Load() != 4 {
@@ -143,7 +143,7 @@ func TestBarrierDrainsTasksBeforeRelease(t *testing.T) {
 	p := NewPool(fixedICVs(4))
 	var ran atomic.Int64
 	var missed atomic.Int64
-	p.Fork(nil, ForkSpec{}, func(tm *Team, tid int) {
+	p.Fork(ForkSpec{}, func(tm *Team, tid int) {
 		if tid == 0 {
 			for i := 0; i < 50; i++ {
 				tm.Tasks().Spawn(tid, nil, nil, func(*task.Unit) { ran.Add(1) })
@@ -163,7 +163,7 @@ func TestBarrierDrainsTasksBeforeRelease(t *testing.T) {
 
 func TestConstructLifecycle(t *testing.T) {
 	p := NewPool(fixedICVs(4))
-	p.Fork(nil, ForkSpec{}, func(tm *Team, tid int) {
+	p.Fork(ForkSpec{}, func(tm *Team, tid int) {
 		e := tm.Construct(1)
 		if e == nil {
 			t.Error("nil entry")
@@ -184,7 +184,7 @@ func TestConstructLifecycle(t *testing.T) {
 func TestTrySingleExactlyOneWinner(t *testing.T) {
 	p := NewPool(fixedICVs(8))
 	var winners atomic.Int64
-	p.Fork(nil, ForkSpec{}, func(tm *Team, tid int) {
+	p.Fork(ForkSpec{}, func(tm *Team, tid int) {
 		e := tm.Construct(1)
 		if e.TrySingle() {
 			winners.Add(1)
@@ -200,7 +200,7 @@ func TestNextSectionDispensesEachOnce(t *testing.T) {
 	p := NewPool(fixedICVs(4))
 	const total = 10
 	var claims [total]atomic.Int64
-	p.Fork(nil, ForkSpec{}, func(tm *Team, tid int) {
+	p.Fork(ForkSpec{}, func(tm *Team, tid int) {
 		e := tm.Construct(1)
 		for {
 			idx, ok := e.NextSection(total)
@@ -220,7 +220,7 @@ func TestNextSectionDispensesEachOnce(t *testing.T) {
 func TestOrderedTurns(t *testing.T) {
 	p := NewPool(fixedICVs(4))
 	var order []int64
-	p.Fork(nil, ForkSpec{}, func(tm *Team, tid int) {
+	p.Fork(ForkSpec{}, func(tm *Team, tid int) {
 		e := tm.Construct(1)
 		// Each thread owns iterations tid, tid+4, ... of a 12-iteration loop.
 		for k := int64(tid); k < 12; k += 4 {
@@ -240,7 +240,7 @@ func TestOrderedTurns(t *testing.T) {
 func TestCopyPrivate(t *testing.T) {
 	p := NewPool(fixedICVs(4))
 	var got [4]int
-	p.Fork(nil, ForkSpec{}, func(tm *Team, tid int) {
+	p.Fork(ForkSpec{}, func(tm *Team, tid int) {
 		e := tm.Construct(1)
 		if e.TrySingle() {
 			e.SetCopyPrivate(42)
@@ -258,7 +258,7 @@ func TestCopyPrivate(t *testing.T) {
 func TestCancellation(t *testing.T) {
 	p := NewPool(fixedICVs(4))
 	var after atomic.Int64
-	p.Fork(nil, ForkSpec{}, func(tm *Team, tid int) {
+	p.Fork(ForkSpec{}, func(tm *Team, tid int) {
 		if tid == 1 {
 			tm.Cancel()
 		}
@@ -278,7 +278,7 @@ func TestNilICVsUsesDefaults(t *testing.T) {
 		t.Fatal("nil ICVs")
 	}
 	ran := false
-	p.Fork(nil, ForkSpec{NumThreads: 1}, func(tm *Team, tid int) { ran = true })
+	p.Fork(ForkSpec{NumThreads: 1}, func(tm *Team, tid int) { ran = true })
 	if !ran {
 		t.Error("fork with default ICVs failed")
 	}
@@ -342,7 +342,7 @@ func TestStaticAndReductionKeepNoRingState(t *testing.T) {
 		t.Errorf("reduction slot is %d bytes, want one 64-byte cache line", size)
 	}
 	p := NewPool(fixedICVs(3))
-	p.Fork(nil, ForkSpec{}, func(tm *Team, tid int) {
+	p.Fork(ForkSpec{}, func(tm *Team, tid int) {
 		b0, b1 := tm.ReductionBank(0), tm.ReductionBank(1)
 		if len(b0) != 3 || len(b1) != 3 || &b0[0] == &b1[0] {
 			t.Errorf("banks of %d and %d slots (distinct=%v), want two distinct banks of 3", len(b0), len(b1), &b0[0] != &b1[0])

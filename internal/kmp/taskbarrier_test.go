@@ -21,7 +21,7 @@ import (
 // parkWorkers drives the pool's hot-team workers through a region and then
 // sleeps past the door-wait sleep stage so they reach the blocking park.
 func parkWorkers(p *Pool) {
-	p.Fork(nil, ForkSpec{}, func(tm *Team, tid int) {})
+	p.Fork(ForkSpec{}, func(tm *Team, tid int) {})
 	p.WaitQuiescent()
 	time.Sleep(10 * time.Millisecond) // doorSleepRounds backoff is ~6ms
 }
@@ -36,7 +36,7 @@ func TestBarrierWaitExecutesReleasedSuccessorAfterDoorPark(t *testing.T) {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			p.Fork(nil, ForkSpec{}, func(tm *Team, tid int) {
+			p.Fork(ForkSpec{}, func(tm *Team, tid int) {
 				if tid != 0 {
 					return // straight to the region-end barrier: must help
 				}
@@ -82,7 +82,7 @@ func TestBarrierWaitStealsLateSpawnedTasks(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		p.Fork(nil, ForkSpec{}, func(tm *Team, tid int) {
+		p.Fork(ForkSpec{}, func(tm *Team, tid int) {
 			if tid != 0 {
 				return
 			}

@@ -136,6 +136,7 @@ const PrioLevels = 8
 type Pool struct {
 	n           int
 	exec        ExecFunc
+	onPanic     func(any)
 	owner       any
 	deques      []deque
 	caches      []unitCache
@@ -167,6 +168,13 @@ func (p *Pool) SetGTIDs(gtids []int) { p.gtids = gtids }
 // SetExec installs the executor for Units spawned with a nil fn. Must be
 // set before any such Unit is spawned.
 func (p *Pool) SetExec(fn ExecFunc) { p.exec = fn }
+
+// SetOnPanic installs the handler that receives the value recovered from a
+// panicking task body. The unit's accounting then completes as if the body
+// had returned, so no taskwait, taskgroup or barrier waiting on it hangs;
+// the embedding layer records the value and rethrows it at the region's
+// join. Without a handler the panic propagates out of the scheduling point.
+func (p *Pool) SetOnPanic(fn func(any)) { p.onPanic = fn }
 
 // SetOwner attaches the embedding layer's owner (the kmp team); the
 // executor reads it back through Owner.
@@ -363,11 +371,7 @@ func (p *Pool) RunOne(tid int) bool {
 func (p *Pool) execute(tid int, u *Unit) {
 	for u != nil {
 		u.tid = tid
-		if u.fn != nil {
-			u.fn(u)
-		} else {
-			p.exec(p, u, tid)
-		}
+		p.run(tid, u)
 		var next *Unit
 		if u.hasDeps {
 			next = p.releaseSuccessors(tid, u)
@@ -387,6 +391,30 @@ func (p *Pool) execute(tid int, u *Unit) {
 		}
 		p.outstanding.Add(-1)
 		u = next
+	}
+}
+
+// run executes u's body. It is the one boundary every task body passes
+// through (deferred, undeferred and barrier-wait execution alike), so a
+// panic is recovered here and handed to the pool's handler; the defer sits
+// in this small helper rather than in execute's loop so it stays
+// open-coded.
+func (p *Pool) run(tid int, u *Unit) {
+	defer p.recoverBody()
+	if u.fn != nil {
+		u.fn(u)
+	} else {
+		p.exec(p, u, tid)
+	}
+}
+
+// recoverBody is run's deferred recover.
+func (p *Pool) recoverBody() {
+	if r := recover(); r != nil {
+		if p.onPanic == nil {
+			panic(r)
+		}
+		p.onPanic(r)
 	}
 }
 
